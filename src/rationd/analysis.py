@@ -570,9 +570,11 @@ def availability_deviation_report(
     """Rerun the online algorithm for every under-report of one agent's
     availability and record the day they end up matched.
 
-    All proper subsets of the truly available days are enumerated (sampled
-    beyond ``max_enumeration_days``). A deviation is improving when it gets
-    the agent matched on a strictly earlier day than truthful reporting.
+    All proper subsets of the truly available days are enumerated. Beyond
+    ``max_enumeration_days``, ``sample_size`` distinct ones are drawn with
+    ``seed`` instead, unless there are no more than that many to draw from.
+    A deviation is improving when it gets the agent matched on a strictly
+    earlier day than truthful reporting.
     """
     agents = {a.id: a for a in instance.agents}
     if agent_id not in agents:
@@ -583,7 +585,8 @@ def availability_deviation_report(
     truthful = run_online(instance, model2=model2, tie_break=tie_break)
     truthful_day = truthful.day_of(agent_id)
 
-    if len(true_days) <= max_enumeration_days:
+    proper_subsets = (1 << len(true_days)) - 1
+    if len(true_days) <= max_enumeration_days or sample_size >= proper_subsets:
         subsets: Iterable[tuple[int, ...]] = (
             combo for r in range(len(true_days)) for combo in itertools.combinations(true_days, r)
         )

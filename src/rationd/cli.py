@@ -288,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     probe = agent_ids[: args.deviation_agents]
     improving = 0
     for agent_id in probe:
-        report = analysis.availability_deviation_report(instance, agent_id, model2=model2)
+        report = analysis.availability_deviation_report(instance, agent_id, model2=model2, seed=args.seed)
         improving += len(report.improving)
     if probe:
         outcome(f"no improving under-reports ({len(probe)} agents probed)", improving == 0)

@@ -267,7 +267,8 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
     current: list[tuple[str, int, int] | None] = [None] * n_agents
     visited = 0
 
-    def descend(k: int, gathered: Fraction) -> None:
+    def enter(k: int, gathered: Fraction) -> bool:
+        """Count a search node; True when its agent's choices are to be tried."""
         nonlocal best_value, best, visited
         visited += 1
         if visited > budget:
@@ -276,28 +277,48 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
             if gathered > best_value:
                 best_value = gathered
                 best = list(current)
-            return
-        if gathered + tail_bound[k] <= best_value:
-            return
-        for value, day, ci in moves[k]:
-            if supply_left[day - 1] == 0 or quota_left[ci][day - 1] == 0:
-                continue
-            if overall_left[ci] == 0:
+            return False
+        return gathered + tail_bound[k] > best_value
+
+    # Depth-first, with an explicit stack so that the depth (one level per
+    # agent) is not bounded by the interpreter's recursion limit. A frame is
+    # [agent index, value gathered, next move to try, move it holds].
+    stack: list[list] = [[0, Fraction(0), 0, None]] if enter(0, Fraction(0)) else []
+    while stack:
+        frame = stack[-1]
+        k, gathered, i, held = frame
+        if held is not None:
+            day, ci = held
+            supply_left[day - 1] += 1
+            quota_left[ci][day - 1] += 1
+            if overall_left[ci] is not None:
+                overall_left[ci] += 1
+            current[k] = None
+            frame[3] = None
+        own = moves[k]
+        child: tuple[int, Fraction] | None = None
+        while i < len(own):
+            value, day, ci = own[i]
+            i += 1
+            if supply_left[day - 1] == 0 or quota_left[ci][day - 1] == 0 or overall_left[ci] == 0:
                 continue
             supply_left[day - 1] -= 1
             quota_left[ci][day - 1] -= 1
             if overall_left[ci] is not None:
                 overall_left[ci] -= 1
             current[k] = (cat_ids[ci], day, ci)
-            descend(k + 1, gathered + value)
-            current[k] = None
-            supply_left[day - 1] += 1
-            quota_left[ci][day - 1] += 1
-            if overall_left[ci] is not None:
-                overall_left[ci] += 1
-        descend(k + 1, gathered)
-
-    descend(0, Fraction(0))
+            frame[3] = (day, ci)
+            child = (k + 1, gathered + value)
+            break
+        else:
+            if i == len(own):  # last, leave the agent unmatched
+                i += 1
+                child = (k + 1, gathered)
+        frame[2] = i
+        if child is None:
+            stack.pop()
+        elif enter(*child):
+            stack.append([*child, 0, None])
 
     assignment: dict[str, tuple[str, int] | None] = {}
     for agent, chosen in zip(instance.agents, best):

@@ -1,16 +1,27 @@
 """Day-by-day greedy allocation.
 
-Each day a bipartite graph is built between the still-unmatched agents
-available that day and the categories with capacity left; a maximum-weight
-matching capped by the day's supply is committed, and the loop moves on
-without ever reading future availability. Because every edge of one agent
-carries the same weight, the committed matching is simultaneously of maximum
-cardinality, which the analysis machinery re-checks independently.
+Each day the still-unmatched agents available that day are matched to the
+categories with capacity left, at most the day's supply of them, and the
+loop moves on without ever reading future availability.
 
-Weight ties are resolved by an exact lexicographic bonus encoded into the
-matching costs: agents earlier in the precedence win, and within an agent
-earlier-listed categories win. The bonus makes each day's chosen assignment
-unique, which keeps reruns (and deviation experiments) stable.
+Every edge of one agent carries the same weight, ``priority *
+discount**(day - 1)``, and the day's supply truncates, so the sets of agents
+that can be matched together on one day form a truncated transversal
+matroid. A maximum-weight matching is therefore found greedily: candidates
+are tried in order of priority (highest first, ties by precedence) and each
+is kept when one augmenting-path search over the categories and their
+capacities fits it in, until the supply is used up. With positive weights
+the kept set is also of maximum cardinality, which the analysis machinery
+re-checks independently. The order is computed once per run with integer
+keys; it serves every day because a day's weights share the factor
+``discount**(day - 1)``.
+
+Ties fall to agents earlier in the precedence, then to earlier-listed
+categories, in that order: the matched set is the lexicographically first
+one of maximum weight, and then, going through that set in precedence
+order, each agent takes the earliest-listed category that still lets the
+rest of the set be matched. This makes each day's assignment unique, which
+keeps reruns (and deviation experiments) stable.
 ``tie_break="adversarial"`` inverts the default input-order precedence; the
 bundled worst-case fixtures are laid out so that this mode reproduces their
 bad runs, where the ratio to the offline optimum meets the bound exactly.
@@ -22,9 +33,11 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
-from .flow import Arc, FlowNetwork, solve_profitable_flow
+# Not called here. ``perfbench/spans.py`` wraps this name on this module to
+# count flow solves, so the import stays until the tracer stops asking for it.
+from .flow import solve_profitable_flow  # noqa: F401
 from .model import Allocation, Instance, validate_instance
 from .offline import TieBreakOrder
 
@@ -35,16 +48,27 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DayGraph:
-    """The bipartite matching problem of a single day."""
+    """The bipartite matching problem of a single day.
+
+    ``agents`` lists the candidates in the order the matcher tries them:
+    priority descending, then ``precedence`` (position in the tie-break
+    order; lower wins). ``base_weights`` maps at least every candidate to
+    its priority.
+    """
 
     day_index: int
     size_cap: int
     agents: tuple[str, ...]
     base_weights: Mapping[str, Fraction]
-    day_factor: Fraction
+    discount: Fraction
     categories: tuple[str, ...]
     capacities: Mapping[str, int]
     edges: tuple[tuple[str, str], ...]
+    precedence: Mapping[str, int]
+
+    @property
+    def day_factor(self) -> Fraction:
+        return self.discount ** (self.day_index - 1)
 
     def weight(self, agent_id: str) -> Fraction:
         """Edge weight for this agent; equal across all its edges."""
@@ -67,115 +91,16 @@ class DayTrace:
     matched: frozenset[tuple[str, str]]
 
 
-def _day_graph(
-    instance: Instance,
-    day_index: int,
-    available_today: frozenset[str],
-    pool: frozenset[str],
-    remaining_overall: Mapping[str, int] | None,
-) -> DayGraph:
-    agents = tuple(a.id for a in instance.agents if a.id in pool and a.id in available_today)
-    agent_set = set(agents)
-    base_weights = {a.id: a.priority for a in instance.agents if a.id in agent_set}
+@dataclass(frozen=True)
+class _Ranking:
+    """What every day graph of one run reads: the greedy order, each
+    agent's precedence position, priority and eligible categories (in
+    instance order)."""
 
-    capacities: dict[str, int] = {}
-    categories: list[str] = []
-    for category in instance.categories:
-        cap = category.daily_quota[day_index - 1]
-        if remaining_overall is not None:
-            cap = min(cap, remaining_overall.get(category.id, cap))
-        if cap > 0:
-            categories.append(category.id)
-            capacities[category.id] = cap
-
-    eligible = {a.id: a.eligible for a in instance.agents}
-    edges = tuple(
-        (agent_id, cat_id) for agent_id in agents for cat_id in categories if cat_id in eligible[agent_id]
-    )
-    return DayGraph(
-        day_index=day_index,
-        size_cap=instance.daily_supply[day_index - 1],
-        agents=agents,
-        base_weights=base_weights,
-        day_factor=instance.discount ** (day_index - 1),
-        categories=tuple(categories),
-        capacities=capacities,
-        edges=edges,
-    )
-
-
-def build_day_graph(state: DailyMatchState, instance: Instance, model2: bool = False) -> DayGraph:
-    """Graph for ``state.day_index``: available pool agents vs. categories at
-    their effective capacity (daily quota, additionally clipped by remaining
-    overall quota when ``model2``)."""
-    if not (1 <= state.day_index <= instance.num_days):
-        raise ValueError(f"day_index {state.day_index} outside horizon 1..{instance.num_days}")
-    if model2 and state.remaining_overall is None:
-        raise ValueError("model2 day graphs need the remaining overall quotas in the state")
-    available_today = frozenset(
-        a.id for a in instance.agents if a.availability[state.day_index - 1]
-    )
-    remaining = state.remaining_overall if model2 else None
-    return _day_graph(instance, state.day_index, available_today, state.unmatched_pool, remaining)
-
-
-def max_weight_capped_bmatching(
-    graph: DayGraph, precedence: Sequence[str] | None = None
-) -> frozenset[tuple[str, str]]:
-    """Maximum-weight matching with per-category capacities and at most
-    ``size_cap`` edges; each agent is matched at most once.
-
-    With ``precedence`` the optimum is unique: ties fall to earlier-listed
-    agents, then to earlier-listed categories.
-    """
-    if graph.size_cap <= 0 or not graph.edges:
-        return frozenset()
-
-    with_edges = {a for a, _c in graph.edges}
-    agents = [a for a in graph.agents if a in with_edges]
-    agent_pos = {a: i for i, a in enumerate(agents)}
-    cat_pos = {c: i for i, c in enumerate(graph.categories)}
-
-    scale = math.lcm(*(graph.base_weights[a].denominator for a in agents)) if agents else 1
-
-    if precedence is not None:
-        present = [a for a in precedence if a in agent_pos]
-        if len(present) != len(agents):
-            missing = set(agents) - set(present)
-            raise ValueError(f"precedence does not cover agents {sorted(missing)}")
-        n = len(present)
-        n_cats = len(graph.categories)
-        digit_base = n_cats + 1
-        base = digit_base**n
-        agent_bonus = {a: digit_base ** (n - 1 - rank) for rank, a in enumerate(present)}
-    else:
-        base = 1
-        n_cats = len(graph.categories)
-        agent_bonus = {}
-
-    src, gate = 0, 1
-    agent_node = {a: 2 + i for i, a in enumerate(agents)}
-    cat_node = {c: 2 + len(agents) + i for i, c in enumerate(graph.categories)}
-    sink = 2 + len(agents) + len(graph.categories)
-
-    arcs: list[Arc] = [Arc(src, gate, graph.size_cap, 0)]
-    for a in agents:
-        arcs.append(Arc(gate, agent_node[a], 1, 0))
-    edge_arcs: dict[int, tuple[str, str]] = {}
-    for a, c in graph.edges:
-        if a not in agent_pos:
-            continue
-        w = graph.base_weights[a]
-        scaled = w.numerator * (scale // w.denominator)
-        bonus = agent_bonus.get(a, 0) * (n_cats - cat_pos[c]) if base != 1 else 0
-        edge_arcs[len(arcs)] = (a, c)
-        arcs.append(Arc(agent_node[a], cat_node[c], 1, -(scaled * base + bonus)))
-    for c in graph.categories:
-        arcs.append(Arc(cat_node[c], sink, graph.capacities[c], 0))
-
-    network = FlowNetwork(sink + 1, src, sink, tuple(arcs))
-    result = solve_profitable_flow(network)
-    return frozenset(pair for i, pair in edge_arcs.items() if result.arc_flows[i] == 1)
+    order: tuple[str, ...]
+    precedence: Mapping[str, int]
+    priorities: Mapping[str, Fraction]
+    eligible: Mapping[str, tuple[str, ...]]
 
 
 def _effective_precedence(instance: Instance, tie_break: TieBreak) -> tuple[str, ...]:
@@ -189,6 +114,187 @@ def _effective_precedence(instance: Instance, tie_break: TieBreak) -> tuple[str,
     return tie_break.order
 
 
+def _ranking(instance: Instance, tie_break: TieBreak) -> _Ranking:
+    precedence = _effective_precedence(instance, tie_break)
+    priorities = {a.id: a.priority for a in instance.agents}
+    # Integer keys: every priority over a common denominator. The sort is
+    # stable (also reversed), so equal priorities keep the precedence.
+    scale = math.lcm(*(p.denominator for p in priorities.values()))
+    key = {a: p.numerator * (scale // p.denominator) for a, p in priorities.items()}
+    order = tuple(sorted(precedence, key=key.__getitem__, reverse=True))
+    cat_ids = tuple(c.id for c in instance.categories)
+    eligible = {a.id: tuple(c for c in cat_ids if c in a.eligible) for a in instance.agents}
+    return _Ranking(order, {a: i for i, a in enumerate(precedence)}, priorities, eligible)
+
+
+def _day_graph(
+    instance: Instance,
+    day_index: int,
+    candidates: tuple[str, ...],
+    remaining_overall: Mapping[str, int] | None,
+    ranking: _Ranking,
+) -> DayGraph:
+    capacities: dict[str, int] = {}
+    for category in instance.categories:
+        cap = category.daily_quota[day_index - 1]
+        if remaining_overall is not None:
+            cap = min(cap, remaining_overall.get(category.id, cap))
+        if cap > 0:
+            capacities[category.id] = cap
+
+    edges = tuple((a, c) for a in candidates for c in ranking.eligible[a] if c in capacities)
+    return DayGraph(
+        day_index=day_index,
+        size_cap=instance.daily_supply[day_index - 1],
+        agents=candidates,
+        base_weights=ranking.priorities,
+        discount=instance.discount,
+        categories=tuple(capacities),
+        capacities=capacities,
+        edges=edges,
+        precedence=ranking.precedence,
+    )
+
+
+def build_day_graph(
+    state: DailyMatchState, instance: Instance, model2: bool = False, tie_break: TieBreak = None
+) -> DayGraph:
+    """Graph for ``state.day_index``: available pool agents vs. categories at
+    their effective capacity (daily quota, additionally clipped by remaining
+    overall quota when ``model2``). ``tie_break`` sets the precedence, as in
+    :func:`run_online`."""
+    if not (1 <= state.day_index <= instance.num_days):
+        raise ValueError(f"day_index {state.day_index} outside horizon 1..{instance.num_days}")
+    if model2 and state.remaining_overall is None:
+        raise ValueError("model2 day graphs need the remaining overall quotas in the state")
+    ranking = _ranking(instance, tie_break)
+    available = {a.id for a in instance.agents if a.availability[state.day_index - 1]}
+    candidates = tuple(a for a in ranking.order if a in state.unmatched_pool and a in available)
+    remaining = state.remaining_overall if model2 else None
+    return _day_graph(instance, state.day_index, candidates, remaining, ranking)
+
+
+def _augmenting_path(
+    agent: str,
+    entries: Sequence[str],
+    eligible: Mapping[str, Sequence[str]],
+    holders: Mapping[str, list[str]],
+    slack: Mapping[str, int],
+    closed: AbstractSet[str],
+    fixed: AbstractSet[str],
+) -> tuple[str | None, dict[str, str]]:
+    """Breadth-first search for a way to seat ``agent`` in one of
+    ``entries``, moving other agents along an alternating path to a category
+    with slack. Skips ``closed`` categories and never moves ``fixed`` agents.
+
+    Returns the category where the path ends (None if there is none) and,
+    for every category reached, the agent that would move into it.
+    """
+    parent: dict[str, str] = {}
+    queue: list[str] = []
+    for category in entries:
+        if category in closed:
+            continue
+        parent[category] = agent
+        if slack[category] > 0:
+            return category, parent
+        queue.append(category)
+    for category in queue:  # grows while it is walked
+        for holder in holders[category]:
+            if holder in fixed:
+                continue
+            for target in eligible[holder]:
+                if target not in parent and target not in closed:
+                    parent[target] = holder
+                    if slack[target] > 0:
+                        return target, parent
+                    queue.append(target)
+    return None, parent
+
+
+def _shift(
+    end: str,
+    parent: Mapping[str, str],
+    seat: dict[str, str],
+    holders: Mapping[str, list[str]],
+    slack: dict[str, int],
+) -> None:
+    """Apply the path ending at ``end``: each agent on it moves one step, and
+    the agent that has no seat yet takes the first one."""
+    slack[end] -= 1
+    category = end
+    while True:
+        mover = parent[category]
+        holders[category].append(mover)
+        previous = seat.get(mover)
+        seat[mover] = category
+        if previous is None:
+            return
+        holders[previous].remove(mover)
+        category = previous
+
+
+def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
+    """Maximum-weight matching with per-category capacities and at most
+    ``size_cap`` edges; each agent is matched at most once.
+
+    Candidates are tried in ``graph.agents`` order and kept when an
+    augmenting path seats them (matroid greedy). The result is unique: the
+    lexicographically first maximum-weight set in ``graph.precedence``, then,
+    agent by agent in that precedence, the earliest-listed category that
+    still lets the rest of the set be matched.
+    """
+    if graph.size_cap <= 0 or not graph.edges:
+        return frozenset()
+
+    eligible: dict[str, list[str]] = {}
+    for agent, category in graph.edges:
+        eligible.setdefault(agent, []).append(category)
+    slack = dict(graph.capacities)
+    holders: dict[str, list[str]] = {c: [] for c in graph.categories}
+    seat: dict[str, str] = {}
+    fixed: set[str] = set()  # stays empty until the categories are chosen
+    limit = min(graph.size_cap, sum(slack.values()))
+    # Categories a failed search reached are full, and so is every category
+    # their holders could move to; no later path can get through them.
+    dead: set[str] = set()
+    for agent in graph.agents:
+        if len(seat) == limit:
+            break
+        entries = eligible.get(agent)
+        if entries is None:
+            continue
+        end, parent = _augmenting_path(agent, entries, eligible, holders, slack, dead, fixed)
+        if end is None:
+            dead.update(parent)
+        else:
+            _shift(end, parent, seat, holders, slack)
+
+    # Set first, then categories: going through the kept agents in
+    # precedence order, each takes its earliest-listed category that still
+    # lets the agents after it be matched.
+    for agent in sorted(seat, key=graph.precedence.__getitem__):
+        fixed.add(agent)
+        current = seat[agent]
+        if eligible[agent][0] == current:
+            continue
+        # Free the agent's seat; the search then succeeds at ``current`` at
+        # the latest, which has slack again.
+        del seat[agent]
+        holders[current].remove(agent)
+        slack[current] += 1
+        failed: set[str] = set()
+        for category in eligible[agent]:
+            if category in failed:
+                continue
+            end, parent = _augmenting_path(agent, (category,), eligible, holders, slack, failed, fixed)
+            if end is not None:
+                _shift(end, parent, seat, holders, slack)
+                break
+            failed.update(parent)
+    return frozenset(seat.items())
+
+
 def run_online_with_trace(
     instance: Instance, model2: bool = False, tie_break: TieBreak = None
 ) -> tuple[Allocation, tuple[DayTrace, ...]]:
@@ -200,30 +306,28 @@ def run_online_with_trace(
         missing = [c.id for c in instance.categories if c.overall_quota is None]
         raise ValueError(f"model2 run needs an overall quota on every category; missing on {missing}")
 
-    precedence = _effective_precedence(instance, tie_break)
-    # Availability is consumed one day at a time; the matching step below
-    # only ever sees the current day's slice.
-    availability_days = [
-        frozenset(a.id for a in instance.agents if a.availability[day - 1])
-        for day in range(1, instance.num_days + 1)
-    ]
-
-    pool = set(instance.agent_order())
+    ranking = _ranking(instance, tie_break)
+    availability = {a.id: a.availability for a in instance.agents}
+    pool = list(ranking.order)  # unmatched agents, in greedy order
     remaining: dict[str, int] | None = None
     if model2:
         remaining = {c.id: c.overall_quota for c in instance.categories}  # type: ignore[misc]
     assignment: dict[str, tuple[str, int] | None] = {a.id: None for a in instance.agents}
     traces: list[DayTrace] = []
 
-    for day, available_today in enumerate(availability_days, start=1):
-        graph = _day_graph(instance, day, available_today, frozenset(pool), remaining)
-        matched = max_weight_capped_bmatching(graph, precedence)
-        for agent_id, cat_id in sorted(matched):
+    for day in range(1, instance.num_days + 1):
+        # Availability is consumed one day at a time: only today's entry of
+        # each agent is read.
+        candidates = tuple(a for a in pool if availability[a][day - 1])
+        graph = _day_graph(instance, day, candidates, remaining, ranking)
+        matched = max_weight_capped_bmatching(graph)
+        for agent_id, cat_id in matched:
             assignment[agent_id] = (cat_id, day)
-            pool.discard(agent_id)
             if remaining is not None:
                 remaining[cat_id] -= 1
-        log.debug("day %d: %d candidates, %d matched, %d left in pool", day, len(graph.agents), len(matched), len(pool))
+        if matched:
+            pool = [a for a in pool if assignment[a] is None]
+        log.debug("day=%d candidates=%d matched=%d pool=%d", day, len(candidates), len(matched), len(pool))
         traces.append(DayTrace(graph=graph, matched=matched))
 
     return Allocation(assignment), tuple(traces)

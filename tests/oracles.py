@@ -102,3 +102,39 @@ def best_day_matching(graph: DayGraph) -> tuple[Fraction, int]:
             best_weight = max(best_weight, weight)
             best_size = max(best_size, r)
     return best_weight, best_size
+
+
+def lex_first_day_matching(graph: DayGraph) -> frozenset[tuple[str, str]]:
+    """The tie-broken day matching, by enumeration.
+
+    Among the agent sets that fit (at most ``size_cap`` agents, a seating
+    within the capacities), take those of maximum weight; of these, the set
+    that holds the agent earliest in ``graph.precedence`` where two sets
+    differ; then the seating whose categories, read in precedence order,
+    come first by their position in ``graph.categories``.
+    """
+    ranked = sorted(graph.agents, key=lambda a: graph.precedence[a])
+    edges = set(graph.edges)
+    options = {a: [c for c in graph.categories if (a, c) in edges] for a in ranked}
+
+    def first_seating(subset: tuple[str, ...]) -> tuple[str, ...] | None:
+        # product() walks the seatings in lexicographic order.
+        for combo in itertools.product(*(options[a] for a in subset)):
+            per_cat = Counter(combo)
+            if all(count <= graph.capacities[c] for c, count in per_cat.items()):
+                return combo
+        return None
+
+    best_key: tuple[Fraction, tuple[bool, ...]] | None = None
+    best: frozenset[tuple[str, str]] = frozenset()
+    for r in range(min(len(ranked), max(graph.size_cap, 0)) + 1):
+        for subset in itertools.combinations(ranked, r):
+            seating = first_seating(subset)
+            if seating is None:
+                continue
+            weight = sum((graph.weight(a) for a in subset), Fraction(0))
+            key = (weight, tuple(a in subset for a in ranked))
+            if best_key is None or key > best_key:
+                best_key = key
+                best = frozenset(zip(subset, seating))
+    return best

@@ -210,6 +210,13 @@ class TestDeviations:
         assert len(report.outcomes) == 16
         assert report.strategyproof
 
+    def test_sample_covering_every_subset_enumerates_them(self):
+        # Two available days have three proper subsets; asking for more
+        # samples than that enumerates them instead of drawing forever.
+        inst = tight_model1()
+        report = availability_deviation_report(inst, "a1", max_enumeration_days=1, sample_size=8)
+        assert sorted(o.reported_days for o in report.outcomes) == [(), (1,), (2,)]
+
 
 class TestMetrics:
     def test_everyone_served_on_day_one(self):

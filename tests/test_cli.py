@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rationd import cli
+from rationd import analysis, cli
 from rationd.data import instance_to_document, write_allocation
 from rationd.model import Allocation
 
@@ -189,6 +189,18 @@ class TestVerify:
         assert code == cli.EXIT_CERTIFICATE
         out = capsys.readouterr().out
         assert "[FAIL] supplied allocation feasible" in out
+
+    def test_seed_reaches_the_deviation_sampler(self, monkeypatch, capsys):
+        seeds = []
+        real = analysis.availability_deviation_report
+
+        def spy(*args, **kwargs):
+            seeds.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "availability_deviation_report", spy)
+        assert run(["verify", TIGHT_M1, "--seed", "17"]) == 0
+        assert seeds and set(seeds) == {17}
 
     def test_invalid_instance_exits_early(self, tmp_path, capsys):
         document = instance_to_document(tight_model1())

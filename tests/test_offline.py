@@ -248,3 +248,14 @@ class TestExactOracle:
         inst = random_instance(rng, max_agents=8)
         with pytest.raises(OracleBudgetExceeded):
             solve_exact_oracle(inst, budget=1)
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # One search level per agent: 1,200 levels, within the default budget.
+        n = 1200
+        agents = tuple(
+            Agent(f"a{k}", Fraction(k + 1, n + 1), (k in (0, n - 1),), frozenset({"c1"})) for k in range(n)
+        )
+        inst = Instance(agents, (Category("c1", (1,)),), 1, (1,), Fraction(1, 2))
+        alloc = solve_exact_oracle(inst)
+        assert list(alloc.matched()) == [(f"a{n - 1}", "c1", 1)]
+        assert total_utility(inst, alloc) == total_utility(inst, solve_offline_model1(inst))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from rationd.online import (
 from rationd.analysis import day_matchings, max_matching_size, model1_bound, model2_bound
 
 from helpers import random_instance, tight_general, tight_model1
-from oracles import best_day_matching
+from oracles import best_day_matching, lex_first_day_matching
 
 
 def fresh_state(instance, model2=False, day=1):
@@ -126,9 +127,43 @@ class TestDayMatching:
             daily_supply=(1,),
             discount=Fraction(1, 2),
         )
+        first = build_day_graph(fresh_state(inst), inst, tie_break=TieBreakOrder(("a1", "a2")))
+        second = build_day_graph(fresh_state(inst), inst, tie_break=TieBreakOrder(("a2", "a1")))
+        assert max_weight_capped_bmatching(first) == {("a1", "c1")}
+        assert max_weight_capped_bmatching(second) == {("a2", "c1")}
+
+    def test_set_is_chosen_before_categories(self):
+        # Seating a0 in c0 (its first category) would leave room for a2 only;
+        # the tie-break prefers the set {a0, a1} and then seats a0 in c1.
+        inst = Instance(
+            agents=(
+                Agent("a0", Fraction(1, 2), (True,), frozenset({"c0", "c1"})),
+                Agent("a1", Fraction(1, 2), (True,), frozenset({"c0"})),
+                Agent("a2", Fraction(1, 2), (True,), frozenset({"c1"})),
+            ),
+            categories=(Category("c0", (1,)), Category("c1", (1,))),
+            num_days=1,
+            daily_supply=(2,),
+            discount=Fraction(1, 2),
+        )
         graph = build_day_graph(fresh_state(inst), inst)
-        assert max_weight_capped_bmatching(graph, precedence=("a1", "a2")) == {("a1", "c1")}
-        assert max_weight_capped_bmatching(graph, precedence=("a2", "a1")) == {("a2", "c1")}
+        assert max_weight_capped_bmatching(graph) == {("a0", "c1"), ("a1", "c0")}
+
+    def test_matches_lexicographic_enumeration_on_random_day_graphs(self):
+        # Few distinct priorities, so weight ties are common.
+        rng = random.Random(3)
+        levels = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+        for _ in range(300):
+            base = random_instance(rng, max_agents=6, max_days=2, max_cats=3, max_cap=3)
+            agents = tuple(replace(a, priority=rng.choice(levels)) for a in base.agents)
+            inst = replace(base, agents=agents)
+            order = list(inst.agent_order())
+            rng.shuffle(order)
+            day = rng.randint(1, inst.num_days)
+            pool = frozenset(a for a in order if rng.random() < 0.8)
+            state = DailyMatchState(day, pool, None, Allocation.empty(inst))
+            graph = build_day_graph(state, inst, tie_break=TieBreakOrder(tuple(order)))
+            assert max_weight_capped_bmatching(graph) == lex_first_day_matching(graph)
 
 
 class TestRunOnline:
