@@ -9,7 +9,9 @@ are designed around:
   online-matched one at a bounded utility ratio, reconstructed per day from
   the symmetric difference of the two day matchings;
 * deviation probing: no agent can get matched strictly earlier by reporting
-  a subset of their true availability;
+  a subset of their true availability. Each under-report is replayed from
+  the first day it hides, from the truthful run's state then, and stops on
+  the day the agent is matched;
 * coverage metrics (reachable vs. served counts, per priority group).
 
 Everything here is exact; certificates either hold or carry a witness day.
@@ -20,13 +22,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .model import Allocation, Instance, total_utility, utility_of
 from .offline import solve_exact_oracle, solve_offline_model1
-from .online import DayGraph, TieBreak, run_online
+from .online import DayGraph, PrefixReplay, TieBreak, run_online
 
 ONLINE = "online"
 OFFLINE = "offline"
@@ -575,6 +577,13 @@ def availability_deviation_report(
     ``seed`` instead, unless there are no more than that many to draw from.
     A deviation is improving when it gets the agent matched on a strictly
     earlier day than truthful reporting.
+
+    The algorithm never reads ahead, so an under-report changes nothing
+    before the first day it hides. Each one is therefore replayed from the
+    truthful run's state at that day, and the replay stops on the day the
+    agent is matched; an under-report whose first hidden day comes after the
+    truthful match day keeps that day without a replay. The truthful run is
+    the only full run.
     """
     agents = {a.id: a for a in instance.agents}
     if agent_id not in agents:
@@ -602,15 +611,16 @@ def availability_deviation_report(
             picks.append(subset)
         subsets = picks
 
+    replay = PrefixReplay(instance, truthful, model2=model2, tie_break=tie_break)
     outcomes: list[DeviationOutcome] = []
     for reported in subsets:
-        mask = tuple(d in reported for d in range(1, instance.num_days + 1))
-        tweaked_agents = tuple(
-            replace(a, availability=mask) if a.id == agent_id else a for a in instance.agents
-        )
-        tweaked = replace(instance, agents=tweaked_agents)
-        result = run_online(tweaked, model2=model2, tie_break=tie_break)
-        outcomes.append(DeviationOutcome(reported, result.day_of(agent_id)))
+        first_hidden = next(d for d in true_days if d not in reported)
+        if truthful_day is not None and truthful_day < first_hidden:
+            matched_day: int | None = truthful_day
+        else:
+            mask = tuple(d in reported for d in range(1, instance.num_days + 1))
+            matched_day = replay.matched_day(agent_id, mask, first_hidden)
+        outcomes.append(DeviationOutcome(reported, matched_day))
 
     improving = tuple(
         o
@@ -716,48 +726,70 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
 def max_matching_size(graph: DayGraph) -> int:
     """Maximum-cardinality capped matching size, by breadth-first max flow.
 
-    Deliberately independent of the cost-based matcher: used to cross-check
-    that committed day matchings are as large as they can be.
+    Deliberately independent of the online matcher: used to cross-check
+    that committed day matchings are as large as they can be. The network is
+    source -> gate (capacity ``size_cap``) -> each agent (1) -> each of its
+    categories (1) -> sink (the category's capacity), on integer-numbered
+    nodes. The flow starts from the source-to-sink paths that are free
+    outright and grows along shortest augmenting paths; the last search,
+    which finds none, certifies the maximum whatever the start.
     """
     if graph.size_cap <= 0 or not graph.edges:
         return 0
-    # Residual capacities keyed by (node, node); nodes are plain strings.
-    SRC, GATE, SINK = "@source", "@gate", "@sink"
-    residual: dict[str, dict[str, int]] = defaultdict(dict)
-
-    def add(u: str, v: str, cap: int) -> None:
-        residual[u][v] = residual[u].get(v, 0) + cap
-        residual[v].setdefault(u, 0)
-
-    add(SRC, GATE, graph.size_cap)
     agents = sorted({a for a, _c in graph.edges})
-    for a in agents:
-        add(GATE, "a:" + a, 1)
-    for a, c in sorted(graph.edges):
-        add("a:" + a, "c:" + c, 1)
-    for c in graph.categories:
-        add("c:" + c, SINK, graph.capacities[c])
+    agent_node = {a: 2 + i for i, a in enumerate(agents)}
+    category_node = {c: 2 + len(agents) + i for i, c in enumerate(graph.categories)}
+    source, gate, sink = 0, 1, 2 + len(agents) + len(graph.categories)
+    # Arc k and its reverse k ^ 1 are stored side by side.
+    heads: list[int] = []
+    residual: list[int] = []
+    out: list[list[int]] = [[] for _ in range(sink + 1)]
+
+    def add(u: int, v: int, cap: int) -> int:
+        out[u].append(len(heads))
+        heads.append(v)
+        residual.append(cap)
+        out[v].append(len(heads))
+        heads.append(u)
+        residual.append(0)
+        return len(heads) - 2
+
+    def push(*arcs: int) -> None:
+        for arc in arcs:
+            residual[arc] -= 1
+            residual[arc ^ 1] += 1
+
+    supply = add(source, gate, graph.size_cap)
+    entry = {a: add(gate, agent_node[a], 1) for a in agents}
+    edge_arcs = [(a, add(agent_node[a], category_node[c], 1), c) for a, c in sorted(graph.edges)]
+    exit_arc = {c: add(category_node[c], sink, graph.capacities[c]) for c in graph.categories}
 
     total = 0
+    for a, arc, c in edge_arcs:
+        if residual[supply] and residual[entry[a]] and residual[exit_arc[c]]:
+            push(supply, entry[a], arc, exit_arc[c])
+            total += 1
+
     while True:
-        parents: dict[str, str] = {SRC: SRC}
-        frontier = [SRC]
-        while frontier and SINK not in parents:
-            nxt: list[str] = []
-            for u in frontier:
-                for v, cap in residual[u].items():
-                    if cap > 0 and v not in parents:
-                        parents[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        if SINK not in parents:
+        via = [-1] * (sink + 1)  # arc each node was reached by; -1 while unreached
+        via[source] = supply  # any arc: marks the source reached
+        queue = [source]
+        for u in queue:  # grows while it is walked
+            for arc in out[u]:
+                v = heads[arc]
+                if residual[arc] > 0 and via[v] < 0:
+                    via[v] = arc
+                    queue.append(v)
+            if via[sink] >= 0:
+                break
+        if via[sink] < 0:
             return total
-        node = SINK
-        while node != SRC:
-            prev = parents[node]
-            residual[prev][node] -= 1
-            residual[node][prev] += 1
-            node = prev
+        path = []
+        node = sink
+        while node != source:
+            path.append(via[node])
+            node = heads[via[node] ^ 1]
+        push(*path)
         total += 1
 
 

@@ -252,7 +252,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "; ".join(v.message for v in report.violations[:3]),
         )
 
-    online_alloc, trace = run_online_with_trace(instance, model2=model2)
+    try:
+        online_alloc, trace = run_online_with_trace(instance, model2=model2)
+    except ValueError as exc:
+        print(f"cannot verify: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     outcome("online allocation feasible", check_allocation(instance, online_alloc, model2=model2).ok)
 
     sizes_ok = all(len(day.matched) == analysis.max_matching_size(day.graph) for day in trace)
@@ -300,6 +304,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rationd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -334,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--allocation", help="also feasibility-check this allocation file")
     p_verify.add_argument("--budget", type=int, default=1_000_000, help="oracle search budget")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for deviation sampling")
-    p_verify.add_argument("--deviation-agents", type=int, default=4, help="how many agents to probe for deviations")
+    p_verify.add_argument(
+        "--deviation-agents", type=_count, default=4, help="how many agents to probe for deviations (>= 0)"
+    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

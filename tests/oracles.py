@@ -7,12 +7,15 @@ the package's solvers beyond the data types.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
+from rationd.analysis import DeviationOutcome
 from rationd.flow import FlowNetwork
 from rationd.model import Instance
-from rationd.online import DayGraph
+from rationd.online import DayGraph, TieBreak, run_online
 
 
 def iter_allocations(instance: Instance, model2: bool = False):
@@ -138,3 +141,37 @@ def lex_first_day_matching(graph: DayGraph) -> frozenset[tuple[str, str]]:
                 best_key = key
                 best = frozenset(zip(subset, seating))
     return best
+
+
+def deviation_outcomes_by_rerun(
+    instance: Instance,
+    agent_id: str,
+    model2: bool = False,
+    tie_break: TieBreak = None,
+    max_enumeration_days: int = 20,
+    sample_size: int = 256,
+    seed: int = 0,
+) -> tuple[DeviationOutcome, ...]:
+    """The outcomes of ``availability_deviation_report``, by rebuilding the
+    instance for every under-report and rerunning the online algorithm on it
+    from day 1 to the horizon. Subsets are chosen, and listed, the way the
+    report chooses them."""
+    agent = next(a for a in instance.agents if a.id == agent_id)
+    true_days = tuple(d for d in range(1, instance.num_days + 1) if agent.availability[d - 1])
+    if len(true_days) <= max_enumeration_days or sample_size >= (1 << len(true_days)) - 1:
+        subsets = [combo for r in range(len(true_days)) for combo in itertools.combinations(true_days, r)]
+    else:
+        rng = random.Random(seed)
+        subsets = []
+        while len(subsets) < sample_size:
+            subset = tuple(d for d in true_days if rng.random() < 0.5)
+            if subset != true_days and subset not in subsets:
+                subsets.append(subset)
+
+    outcomes = []
+    for reported in subsets:
+        mask = tuple(d in reported for d in range(1, instance.num_days + 1))
+        tweaked_agents = tuple(replace(a, availability=mask) if a.id == agent_id else a for a in instance.agents)
+        result = run_online(replace(instance, agents=tweaked_agents), model2=model2, tie_break=tie_break)
+        outcomes.append(DeviationOutcome(reported, result.day_of(agent_id)))
+    return tuple(outcomes)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from rationd.data import GeneratorConfig, SupplyModel, generate
 from rationd.model import Agent, Allocation, Category, Instance
-from rationd.offline import solve_exact_oracle, solve_offline_model1
-from rationd.online import run_online
+from rationd.offline import TieBreakOrder, solve_exact_oracle, solve_offline_model1
+from rationd.online import DayGraph, run_online
 from rationd.analysis import (
     DELAYED_SELF,
     OVERFLOW,
@@ -16,11 +17,13 @@ from rationd.analysis import (
     compute_metrics,
     day_matchings,
     decompose_symmetric_difference,
+    max_matching_size,
     model1_bound,
     model2_bound,
 )
 
 from helpers import random_instance, tight_general, tight_model1
+from oracles import deviation_outcomes_by_rerun
 
 
 class TestCompetitiveRatio:
@@ -217,6 +220,65 @@ class TestDeviations:
         report = availability_deviation_report(inst, "a1", max_enumeration_days=1, sample_size=8)
         assert sorted(o.reported_days for o in report.outcomes) == [(), (1,), (2,)]
 
+    def test_replay_matches_full_reruns_on_random_cases(self):
+        rng = random.Random(314159)
+        cases = changed = 0
+        for index in range(120):
+            model2 = index % 2 == 1
+            inst = random_instance(rng, max_agents=6, max_days=5, model2=model2)
+            precedence = list(inst.agent_order())
+            rng.shuffle(precedence)
+            for tie_break in (None, "adversarial", TieBreakOrder(tuple(precedence))):
+                for agent in inst.agents:
+                    report = availability_deviation_report(inst, agent.id, model2=model2, tie_break=tie_break)
+                    expected = deviation_outcomes_by_rerun(inst, agent.id, model2=model2, tie_break=tie_break)
+                    assert report.outcomes == expected
+                    assert report.truthful_day == run_online(inst, model2=model2, tie_break=tie_break).day_of(agent.id)
+                    cases += 1
+                    changed += sum(o.matched_day != report.truthful_day for o in expected)
+        assert cases >= 300
+        assert changed > 0  # some under-reports move the match, so replays are exercised
+
+    def test_replay_matches_full_reruns_on_the_probe_instance(self):
+        # The benchmark's probe instance (PROBE_CONFIG in perfbench/workloads.py).
+        config = GeneratorConfig(
+            num_agents=100,
+            num_days=4,
+            num_hospitals=4,
+            availability_density=0.5,
+            supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
+            seed=7,
+        )
+        inst = generate(config)
+        subsets = 0
+        for agent in inst.agents:
+            report = availability_deviation_report(inst, agent.id)
+            assert report.outcomes == deviation_outcomes_by_rerun(inst, agent.id)
+            subsets += len(report.outcomes)
+        assert subsets == 364
+
+    def test_replay_matches_full_reruns_when_sampling(self):
+        rng = random.Random(57721)
+        sampled = enumerated = 0
+        for index in range(40):
+            model2 = index % 2 == 1
+            inst = random_instance(rng, max_agents=5, max_days=5, density=0.8, model2=model2)
+            for agent in inst.agents:
+                proper = (1 << sum(agent.availability)) - 1
+                if proper < 3:
+                    continue
+                for sample_size in (proper // 2, proper, proper + 2):
+                    kwargs = dict(model2=model2, max_enumeration_days=1, sample_size=sample_size, seed=index)
+                    report = availability_deviation_report(inst, agent.id, **kwargs)
+                    assert report.outcomes == deviation_outcomes_by_rerun(inst, agent.id, **kwargs)
+                    if sample_size < proper:
+                        sampled += 1
+                        assert len(report.outcomes) == sample_size
+                    else:
+                        enumerated += 1
+                        assert len(report.outcomes) == proper
+        assert sampled > 0 and enumerated > 0
+
 
 class TestMetrics:
     def test_everyone_served_on_day_one(self):
@@ -315,3 +377,54 @@ class TestBounds:
     def test_priority_spread_of_empty_instance(self):
         inst = Instance((), (), 1, (0,), Fraction(1, 2))
         assert model2_bound(inst) == 1 + 2 * Fraction(1, 2)
+
+
+class TestMaxMatchingSize:
+    @staticmethod
+    def random_day_graph(rng: random.Random) -> DayGraph:
+        # Agents sometimes share their ids with categories; the two must not mix.
+        prefix = rng.choice("ac")
+        agents = tuple(f"{prefix}{i}" for i in range(rng.randint(0, 30)))
+        categories = tuple(f"c{i}" for i in range(rng.randint(1, 5)))
+        density = rng.random()
+        edges = tuple((a, c) for a in agents for c in categories if rng.random() < density)
+        return DayGraph(
+            day_index=1,
+            size_cap=rng.randint(0, 20),
+            agents=agents,
+            base_weights={a: Fraction(1, 2) for a in agents},
+            discount=Fraction(1, 2),
+            categories=categories,
+            capacities={c: rng.randint(0, 6) for c in categories},
+            edges=edges,
+            precedence={a: i for i, a in enumerate(agents)},
+        )
+
+    def test_equals_networkx_maximum_flow_on_random_day_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8128)
+        for _ in range(250):
+            graph = self.random_day_graph(rng)
+            network = nx.DiGraph()
+            network.add_edge("source", "gate", capacity=graph.size_cap)
+            for a, c in graph.edges:
+                network.add_edge("gate", ("agent", a), capacity=1)
+                network.add_edge(("agent", a), ("category", c), capacity=1)
+            for c in graph.categories:
+                network.add_edge(("category", c), "sink", capacity=graph.capacities[c])
+            assert max_matching_size(graph) == nx.maximum_flow_value(network, "source", "sink")
+
+    def test_repairs_a_blocked_start(self):
+        # a1 takes c1 first; only moving it to c2 lets a2 in.
+        graph = DayGraph(
+            day_index=1,
+            size_cap=2,
+            agents=("a1", "a2"),
+            base_weights={"a1": Fraction(1), "a2": Fraction(1)},
+            discount=Fraction(1, 2),
+            categories=("c1", "c2"),
+            capacities={"c1": 1, "c2": 1},
+            edges=(("a1", "c1"), ("a1", "c2"), ("a2", "c1")),
+            precedence={"a1": 0, "a2": 1},
+        )
+        assert max_matching_size(graph) == 2

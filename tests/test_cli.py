@@ -210,6 +210,22 @@ class TestVerify:
         assert run(["verify", str(path)]) == cli.EXIT_INVALID
         assert "invalid instance" in capsys.readouterr().err
 
+    def test_model2_without_overall_quotas_is_refused(self, capsys):
+        assert run(["verify", TIGHT_M1, "--model2"]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "cannot verify:" in err and "overall quota" in err
+        assert "Traceback" not in err
+
+    def test_negative_deviation_agents_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", TIGHT_M1, "--deviation-agents", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_zero_deviation_agents_probes_nobody(self, capsys):
+        assert run(["verify", TIGHT_M1, "--deviation-agents", "0"]) == 0
+        assert "under-reports" not in capsys.readouterr().out
+
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:

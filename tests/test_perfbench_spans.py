@@ -33,3 +33,25 @@ def test_tracer_wraps_and_counts_the_online_layers():
     assert summary["online.run.calls"] > 0
     assert summary["analysis.deviation.calls"] == 1
     assert all(getattr(m, name) is original for (m, name), original in originals.items())
+
+
+def test_deviation_replays_go_through_the_traced_matcher():
+    spans = load_spans()
+    inst = tight_model1()
+    tracer = spans.install()
+    try:
+        report = analysis.availability_deviation_report(inst, "a2")
+        summary = tracer.summary(1)
+    finally:
+        tracer.remove()
+    # a2 is matched on day 1 when truthful; hiding that day replays day 1
+    # and day 2, past the truthful match day, and a2 is never matched.
+    assert report.truthful_day == 1
+    assert [(o.reported_days, o.matched_day) for o in report.outcomes] == [((), None)]
+    assert summary["online.match.calls"] > inst.num_days
+    assert summary["analysis.deviation.reruns"] == 1  # the truthful run only
+
+
+def test_analysis_exposes_the_names_the_tracer_wraps():
+    for name in ("run_online", "total_utility", "solve_offline_model1", "solve_exact_oracle"):
+        assert callable(getattr(analysis, name))
