@@ -253,7 +253,11 @@ class ChargingReport:
     failure_reason: str | None = None
 
 
-def _fail(day: int | None, reason: str, type1: frozenset[str], charges: list[Charge]) -> ChargingReport:
+def _report(
+    type1: frozenset[str], charges: list[Charge], day: int | None = None, reason: str | None = None
+) -> ChargingReport:
+    """The report on ``charges``: certified unless a failure ``reason`` is
+    given."""
     loads: dict[str, list[Fraction]] = defaultdict(list)
     for charge in charges:
         loads[charge.target].append(charge.factor)
@@ -261,7 +265,7 @@ def _fail(day: int | None, reason: str, type1: frozenset[str], charges: list[Cha
         type1_agents=type1,
         charges=tuple(charges),
         per_target_load={t: tuple(fs) for t, fs in loads.items()},
-        bound_certified=False,
+        bound_certified=reason is None,
         failure_day=day,
         failure_reason=reason,
     )
@@ -385,12 +389,12 @@ def build_charging_report(
                 # supply can explain the surplus; the endpoint may charge
                 # any free online agent of the day (chosen after the loop).
                 if len(online_today) != instance.daily_supply[day - 1]:
-                    return _fail(
+                    return _report(
+                        type1,
+                        charges,
                         day,
                         f"offline-surplus path at category {cat_end!r} on day {day} with slack "
                         "supply and slack capacity: the day matching was not maximal",
-                        type1,
-                        charges,
                     )
                 for a in offline_agents:
                     if a != agent_end:
@@ -401,12 +405,12 @@ def build_charging_report(
             # rules out the daily quota, so the overall quota must be
             # exhausted by the online run on or before this day.
             if not model2 or overall is None or consumed_before + online_at_cat != overall:
-                return _fail(
+                return _report(
+                    type1,
+                    charges,
                     day,
                     f"offline-surplus path at saturated category {cat_end!r} on day {day} "
                     "without an exhausted overall quota",
-                    type1,
-                    charges,
                 )
             # The agent beside the exhausted category redirects across days;
             # the far endpoint takes its place today (they coincide on
@@ -421,7 +425,7 @@ def build_charging_report(
         for charger in sorted(pending_free):
             free = sorted(t for t in online_today if t not in same_day_taken)
             if not free:
-                return _fail(day, f"no free online target left for surplus agent {charger!r}", type1, charges)
+                return _report(type1, charges, day, f"no free online target left for surplus agent {charger!r}")
             charge_same_day(charger, free[0])
 
     # Overflow charges: per category, match each charger to a distinct
@@ -435,11 +439,8 @@ def build_charging_report(
         assignment = _match_overflow(chargers, targets)
         if assignment is None:
             worst = chargers[0][0]
-            return _fail(
-                worst,
-                f"cannot injectively assign overflow charges for category {cat_id!r}",
-                type1,
-                charges,
+            return _report(
+                type1, charges, worst, f"cannot injectively assign overflow charges for category {cat_id!r}"
             )
         for (day, agent_id), (target_day, target_id) in assignment:
             factor = (priorities[agent_id] / priorities[target_id]) * instance.discount ** (day - target_day)
@@ -493,49 +494,37 @@ def _certify(
     online_matched = {a for a, _c, _d in online_alloc.matched()}
     offline_matched = [a for a, _c, _d in offline_alloc.matched()]
 
-    loads: dict[str, list[Fraction]] = defaultdict(list)
     kinds_per_target: dict[str, list[str]] = defaultdict(list)
     chargers = [c.charger for c in charges]
     for charge in charges:
-        loads[charge.target].append(charge.factor)
         kinds_per_target[charge.target].append(charge.kind)
 
-    def finish(ok: bool, day: int | None = None, reason: str | None = None) -> ChargingReport:
-        return ChargingReport(
-            type1_agents=type1,
-            charges=tuple(charges),
-            per_target_load={t: tuple(fs) for t, fs in loads.items()},
-            bound_certified=ok,
-            failure_day=day,
-            failure_reason=reason,
-        )
-
     if sorted(chargers) != sorted(offline_matched):
-        return finish(False, None, "chargers do not cover the offline-matched agents exactly once")
+        return _report(type1, charges, reason="chargers do not cover the offline-matched agents exactly once")
     for charge in charges:
         if charge.target not in online_matched:
-            return finish(False, None, f"target {charge.target!r} is not online-matched")
+            return _report(type1, charges, reason=f"target {charge.target!r} is not online-matched")
         if charge.kind == OVERFLOW and not model2:
-            return finish(False, None, "overflow charge outside model2")
+            return _report(type1, charges, reason="overflow charge outside model2")
         if charge.factor > limit[charge.kind]:
-            return finish(
-                False,
-                None,
-                f"{charge.kind} factor {charge.factor} of {charge.charger!r} -> {charge.target!r} "
+            return _report(
+                type1,
+                charges,
+                reason=f"{charge.kind} factor {charge.factor} of {charge.charger!r} -> {charge.target!r} "
                 f"exceeds {limit[charge.kind]}",
             )
     for target, kinds in kinds_per_target.items():
         if len(kinds) != len(set(kinds)):
-            return finish(False, None, f"target {target!r} carries repeated charge kinds {kinds}")
+            return _report(type1, charges, reason=f"target {target!r} carries repeated charge kinds {kinds}")
         if len(kinds) > (3 if model2 else 2):
-            return finish(False, None, f"target {target!r} carries {len(kinds)} charges")
+            return _report(type1, charges, reason=f"target {target!r} carries {len(kinds)} charges")
 
     # The factors must reproduce the offline utility exactly.
     online_value = {a: utility_of(priorities[a], d, instance.discount) for a, _c, d in online_alloc.matched()}
     recovered = sum((charge.factor * online_value[charge.target] for charge in charges), Fraction(0))
     if recovered != total_utility(instance, offline_alloc):
-        return finish(False, None, "charge factors do not reconstruct the offline utility")
-    return finish(True)
+        return _report(type1, charges, reason="charge factors do not reconstruct the offline utility")
+    return _report(type1, charges)
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +723,14 @@ def max_matching_size(graph: DayGraph) -> int:
     outright and grows along shortest augmenting paths; the last search,
     which finds none, certifies the maximum whatever the start.
     """
-    if graph.size_cap <= 0 or not graph.edges:
+    edges = graph.edges
+    if graph.size_cap <= 0 or not edges:
         return 0
-    agents = sorted({a for a, _c in graph.edges})
+    agents = sorted({a for a, _c in edges})
+    categories = graph.categories
     agent_node = {a: 2 + i for i, a in enumerate(agents)}
-    category_node = {c: 2 + len(agents) + i for i, c in enumerate(graph.categories)}
-    source, gate, sink = 0, 1, 2 + len(agents) + len(graph.categories)
+    category_node = {c: 2 + len(agents) + i for i, c in enumerate(categories)}
+    source, gate, sink = 0, 1, 2 + len(agents) + len(categories)
     # Arc k and its reverse k ^ 1 are stored side by side.
     heads: list[int] = []
     residual: list[int] = []
@@ -761,8 +752,8 @@ def max_matching_size(graph: DayGraph) -> int:
 
     supply = add(source, gate, graph.size_cap)
     entry = {a: add(gate, agent_node[a], 1) for a in agents}
-    edge_arcs = [(a, add(agent_node[a], category_node[c], 1), c) for a, c in sorted(graph.edges)]
-    exit_arc = {c: add(category_node[c], sink, graph.capacities[c]) for c in graph.categories}
+    edge_arcs = [(a, add(agent_node[a], category_node[c], 1), c) for a, c in sorted(edges)]
+    exit_arc = {c: add(category_node[c], sink, graph.capacities[c]) for c in categories}
 
     total = 0
     for a, arc, c in edge_arcs:

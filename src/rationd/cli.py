@@ -362,8 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     except data.DataFormatError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
     except SystemExit as exc:
         code = exc.code

@@ -183,13 +183,20 @@ def write_instance(instance: Instance, path: str, provenance: Mapping[str, Any] 
         handle.write("\n")
 
 
-def read_instance(path: str) -> Instance:
+def _read_json(path: str) -> Any:
+    """The JSON document in ``path``; text that is not UTF-8 or not JSON
+    raises :class:`DataFormatError`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return instance_from_document(document, where=path)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def read_instance(path: str) -> Instance:
+    return instance_from_document(_read_json(path), where=path)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +241,7 @@ def write_allocation(alloc: Allocation, path: str) -> None:
 
 
 def read_allocation(path: str) -> Allocation:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return allocation_from_document(document, where=path)
+    return allocation_from_document(_read_json(path), where=path)
 
 
 # ---------------------------------------------------------------------------
@@ -421,49 +423,53 @@ def config_to_document(config: GeneratorConfig) -> dict[str, Any]:
     }
 
 
+def _number(kind: type[int] | type[float], value: Any, where: str) -> Any:
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataFormatError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+
+
 def config_from_document(document: Mapping[str, Any], where: str = "config") -> GeneratorConfig:
     if not isinstance(document, Mapping):
         raise DataFormatError(f"{where}: expected an object")
+    raw_groups = document.get("groups", [])
+    if not isinstance(raw_groups, list):
+        raise DataFormatError(f"{where}.groups: expected a list")
     groups = []
-    for i, raw in enumerate(document.get("groups", [])):
+    for i, raw in enumerate(raw_groups):
         spot = f"{where}.groups[{i}]"
+        if not isinstance(raw, Mapping):
+            raise DataFormatError(f"{spot}: expected an object")
         groups.append(
             GroupSpec(
                 label=str(_expect(raw, "label", spot)),
-                weight=float(_expect(raw, "weight", spot)),
+                weight=_number(float, _expect(raw, "weight", spot), f"{spot}.weight"),
                 priority=parse_rational(_expect(raw, "priority", spot), f"{spot}.priority"),
             )
         )
     raw_sm = document.get("supply_model", {})
-    supply_model = SupplyModel(
-        supply_low=int(raw_sm.get("supply_low", SupplyModel.supply_low)),
-        supply_high=int(raw_sm.get("supply_high", SupplyModel.supply_high)),
-        quota_low=int(raw_sm.get("quota_low", SupplyModel.quota_low)),
-        quota_high=int(raw_sm.get("quota_high", SupplyModel.quota_high)),
+    if not isinstance(raw_sm, Mapping):
+        raise DataFormatError(f"{where}.supply_model: expected an object")
+    supply = {
+        name: _number(int, raw_sm.get(name, getattr(SupplyModel, name)), f"{where}.supply_model.{name}")
+        for name in ("supply_low", "supply_high", "quota_low", "quota_high")
+    }
+    return GeneratorConfig(
+        num_agents=_number(int, _expect(document, "num_agents", where), f"{where}.num_agents"),
+        num_days=_number(int, _expect(document, "num_days", where), f"{where}.num_days"),
+        num_hospitals=_number(int, _expect(document, "num_hospitals", where), f"{where}.num_hospitals"),
+        cluster_radius_links=_number(int, document.get("cluster_radius_links", 1), f"{where}.cluster_radius_links"),
+        availability_density=_number(float, document.get("availability_density", 0.5), f"{where}.availability_density"),
+        group_specs=tuple(groups) if groups else DEFAULT_GROUPS,
+        discount=parse_rational(document.get("discount", "0.95"), f"{where}.discount"),
+        supply_model=SupplyModel(**supply),
+        seed=_number(int, document.get("seed", 0), f"{where}.seed"),
     )
-    try:
-        return GeneratorConfig(
-            num_agents=int(_expect(document, "num_agents", where)),
-            num_days=int(_expect(document, "num_days", where)),
-            num_hospitals=int(_expect(document, "num_hospitals", where)),
-            cluster_radius_links=int(document.get("cluster_radius_links", 1)),
-            availability_density=float(document.get("availability_density", 0.5)),
-            group_specs=tuple(groups) if groups else DEFAULT_GROUPS,
-            discount=parse_rational(document.get("discount", "0.95"), f"{where}.discount"),
-            supply_model=supply_model,
-            seed=int(document.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
 
 
 def read_generator_config(path: str) -> GeneratorConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return config_from_document(document, where=path)
+    return config_from_document(_read_json(path), where=path)
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,12 @@ class TieBreakOrder:
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Correspondence between flow arcs/nodes and the instance they encode."""
+    """Correspondence between flow arcs/nodes and the instance they encode:
+    each agent's node, each assignment arc's (agent, category, day), and the
+    cost scaling."""
 
-    source: int
-    sink: int
-    day_nodes: Mapping[int, int]
-    slot_nodes: Mapping[tuple[str, int], int]
     agent_nodes: Mapping[str, int]
-    supply_arcs: Mapping[int, int]
-    quota_arcs: Mapping[int, tuple[str, int]]
     assignment_arcs: Mapping[int, tuple[str, str, int]]
-    drain_arcs: Mapping[int, str]
     scale: int
     tiebreak_base: int
 
@@ -125,21 +120,16 @@ def build_model1_network(
         bonus = {}
 
     arcs: list[Arc] = []
-    supply_arcs: dict[int, int] = {}
-    quota_arcs: dict[int, tuple[str, int]] = {}
     assignment_arcs: dict[int, tuple[str, str, int]] = {}
-    drain_arcs: dict[int, str] = {}
 
     for day in days:
         supply = instance.daily_supply[day - 1]
         if supply > 0:
-            supply_arcs[len(arcs)] = day
             arcs.append(Arc(source, day_nodes[day], supply, 0))
     for category in instance.categories:
         for day in days:
             quota = category.daily_quota[day - 1]
             if quota > 0:
-                quota_arcs[len(arcs)] = (category.id, day)
                 arcs.append(Arc(day_nodes[day], slot_nodes[(category.id, day)], quota, 0))
     for agent in instance.agents:
         for day in days:
@@ -155,23 +145,10 @@ def build_model1_network(
                     assignment_arcs[len(arcs)] = (agent.id, category.id, day)
                     arcs.append(Arc(slot_nodes[(category.id, day)], agent_nodes[agent.id], 1, cost))
     for agent in instance.agents:
-        drain_arcs[len(arcs)] = agent.id
         arcs.append(Arc(agent_nodes[agent.id], sink, 1, 0))
 
     network = FlowNetwork(node, source, sink, tuple(arcs))
-    rmap = ReductionMap(
-        source=source,
-        sink=sink,
-        day_nodes=day_nodes,
-        slot_nodes=slot_nodes,
-        agent_nodes=agent_nodes,
-        supply_arcs=supply_arcs,
-        quota_arcs=quota_arcs,
-        assignment_arcs=assignment_arcs,
-        drain_arcs=drain_arcs,
-        scale=scale,
-        tiebreak_base=base,
-    )
+    rmap = ReductionMap(agent_nodes=agent_nodes, assignment_arcs=assignment_arcs, scale=scale, tiebreak_base=base)
     return network, rmap
 
 

@@ -4,6 +4,15 @@ Each day the still-unmatched agents available that day are matched to the
 categories with capacity left, at most the day's supply of them, and the
 loop moves on without ever reading future availability.
 
+A day's :class:`DayGraph` holds that day's candidates and the capacities of
+the categories open that day. A category is closed when its daily quota is
+0 that day or, in model 2, its overall quota is used up; it is then missing
+from the capacities. Category lists are not rebuilt per day: every day
+graph of a run shares one mapping from each agent to all its eligible
+categories in instance order, and the matcher passes over closed ones. The
+edge list (``DayGraph.edges``) is derived on request for the independent
+checkers; the matcher never builds it.
+
 Every edge of one agent carries the same weight, ``priority *
 discount**(day - 1)``, and the day's supply truncates, so the sets of agents
 that can be matched together on one day form a truncated transversal
@@ -33,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 # Not called here. ``perfbench/spans.py`` wraps this name on this module to
 # count flow solves, so the import stays until the tracer stops asking for it.
@@ -53,7 +62,12 @@ class DayGraph:
     ``agents`` lists the candidates in the order the matcher tries them:
     priority descending, then ``precedence`` (position in the tie-break
     order; lower wins). ``base_weights`` maps at least every candidate to
-    its priority.
+    its priority. ``capacities`` maps each category open today to its
+    capacity, in instance order; a category missing from it is closed today.
+    ``eligible`` maps at least every candidate to all its eligible
+    categories in instance order, closed ones included; every day graph of
+    one run shares the same mapping. ``edges`` and ``categories`` are
+    derived from these fields.
     """
 
     day_index: int
@@ -61,10 +75,19 @@ class DayGraph:
     agents: tuple[str, ...]
     base_weights: Mapping[str, Fraction]
     discount: Fraction
-    categories: tuple[str, ...]
     capacities: Mapping[str, int]
-    edges: tuple[tuple[str, str], ...]
+    eligible: Mapping[str, tuple[str, ...]]
     precedence: Mapping[str, int]
+
+    @property
+    def categories(self) -> tuple[str, ...]:
+        """The categories open today, in instance order."""
+        return tuple(self.capacities)
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every (candidate, eligible category open today) pair."""
+        return tuple((a, c) for a in self.agents for c in self.eligible[a] if c in self.capacities)
 
     @property
     def day_factor(self) -> Fraction:
@@ -73,16 +96,6 @@ class DayGraph:
     def weight(self, agent_id: str) -> Fraction:
         """Edge weight for this agent; equal across all its edges."""
         return self.base_weights[agent_id] * self.day_factor
-
-
-@dataclass(frozen=True)
-class DailyMatchState:
-    """Progress snapshot fed into a day's graph construction."""
-
-    day_index: int
-    unmatched_pool: frozenset[str]
-    remaining_overall: Mapping[str, int] | None
-    allocation_so_far: Allocation
 
 
 @dataclass(frozen=True)
@@ -141,37 +154,36 @@ def _day_graph(
             cap = min(cap, remaining_overall.get(category.id, cap))
         if cap > 0:
             capacities[category.id] = cap
-
-    edges = tuple((a, c) for a in candidates for c in ranking.eligible[a] if c in capacities)
     return DayGraph(
         day_index=day_index,
         size_cap=instance.daily_supply[day_index - 1],
         agents=candidates,
         base_weights=ranking.priorities,
         discount=instance.discount,
-        categories=tuple(capacities),
         capacities=capacities,
-        edges=edges,
+        eligible=ranking.eligible,
         precedence=ranking.precedence,
     )
 
 
 def build_day_graph(
-    state: DailyMatchState, instance: Instance, model2: bool = False, tie_break: TieBreak = None
+    instance: Instance,
+    day_index: int,
+    pool: Iterable[str],
+    remaining_overall: Mapping[str, int] | None = None,
+    tie_break: TieBreak = None,
 ) -> DayGraph:
-    """Graph for ``state.day_index``: available pool agents vs. categories at
-    their effective capacity (daily quota, additionally clipped by remaining
-    overall quota when ``model2``). ``tie_break`` sets the precedence, as in
-    :func:`run_online`."""
-    if not (1 <= state.day_index <= instance.num_days):
-        raise ValueError(f"day_index {state.day_index} outside horizon 1..{instance.num_days}")
-    if model2 and state.remaining_overall is None:
-        raise ValueError("model2 day graphs need the remaining overall quotas in the state")
+    """Graph for ``day_index``: the agents of ``pool`` (those still waiting)
+    available that day vs. the categories open that day, each at its daily
+    quota, clipped by its entry in ``remaining_overall`` (model 2) when
+    given. ``tie_break`` sets the precedence, as in :func:`run_online`."""
+    if not (1 <= day_index <= instance.num_days):
+        raise ValueError(f"day_index {day_index} outside horizon 1..{instance.num_days}")
     ranking = _ranking(instance, tie_break)
-    available = {a.id for a in instance.agents if a.availability[state.day_index - 1]}
-    candidates = tuple(a for a in ranking.order if a in state.unmatched_pool and a in available)
-    remaining = state.remaining_overall if model2 else None
-    return _day_graph(instance, state.day_index, candidates, remaining, ranking)
+    waiting = set(pool)
+    available = {a.id for a in instance.agents if a.availability[day_index - 1]}
+    candidates = tuple(a for a in ranking.order if a in waiting and a in available)
+    return _day_graph(instance, day_index, candidates, remaining_overall, ranking)
 
 
 def _augmenting_path(
@@ -185,7 +197,8 @@ def _augmenting_path(
 ) -> tuple[str | None, dict[str, str]]:
     """Breadth-first search for a way to seat ``agent`` in one of
     ``entries``, moving other agents along an alternating path to a category
-    with slack. Skips ``closed`` categories and never moves ``fixed`` agents.
+    with slack. Skips the categories in ``closed`` and those with no capacity
+    today (missing from ``slack``), and never moves ``fixed`` agents.
 
     Returns the category where the path ends (None if there is none) and,
     for every category reached, the agent that would move into it.
@@ -193,7 +206,7 @@ def _augmenting_path(
     parent: dict[str, str] = {}
     queue: list[str] = []
     for category in entries:
-        if category in closed:
+        if category in closed or category not in slack:
             continue
         parent[category] = agent
         if slack[category] > 0:
@@ -204,7 +217,7 @@ def _augmenting_path(
             if holder in fixed:
                 continue
             for target in eligible[holder]:
-                if target not in parent and target not in closed:
+                if target not in parent and target not in closed and target in slack:
                     parent[target] = holder
                     if slack[target] > 0:
                         return target, parent
@@ -242,41 +255,37 @@ def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
     augmenting path seats them (matroid greedy). The result is unique: the
     lexicographically first maximum-weight set in ``graph.precedence``, then,
     agent by agent in that precedence, the earliest-listed category that
-    still lets the rest of the set be matched.
+    still lets the rest of the set be matched. Categories closed today are
+    never reached.
     """
-    if graph.size_cap <= 0 or not graph.edges:
+    slack = dict(graph.capacities)
+    limit = min(graph.size_cap, sum(slack.values()))
+    if limit <= 0:
         return frozenset()
 
-    eligible: dict[str, list[str]] = {}
-    for agent, category in graph.edges:
-        eligible.setdefault(agent, []).append(category)
-    slack = dict(graph.capacities)
-    holders: dict[str, list[str]] = {c: [] for c in graph.categories}
+    eligible = graph.eligible
+    holders: dict[str, list[str]] = {c: [] for c in slack}
     seat: dict[str, str] = {}
     fixed: set[str] = set()  # stays empty until the categories are chosen
-    limit = min(graph.size_cap, sum(slack.values()))
     # Categories a failed search reached are full, and so is every category
     # their holders could move to; no later path can get through them.
     dead: set[str] = set()
     for agent in graph.agents:
         if len(seat) == limit:
             break
-        entries = eligible.get(agent)
-        if entries is None:
-            continue
-        end, parent = _augmenting_path(agent, entries, eligible, holders, slack, dead, fixed)
+        end, parent = _augmenting_path(agent, eligible[agent], eligible, holders, slack, dead, fixed)
         if end is None:
             dead.update(parent)
         else:
             _shift(end, parent, seat, holders, slack)
 
     # Set first, then categories: going through the kept agents in
-    # precedence order, each takes its earliest-listed category that still
-    # lets the agents after it be matched.
+    # precedence order, each takes its earliest-listed open category that
+    # still lets the agents after it be matched.
     for agent in sorted(seat, key=graph.precedence.__getitem__):
         fixed.add(agent)
         current = seat[agent]
-        if eligible[agent][0] == current:
+        if next(c for c in eligible[agent] if c in slack) == current:
             continue
         # Free the agent's seat; the search then succeeds at ``current`` at
         # the latest, which has slack again.

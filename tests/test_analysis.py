@@ -387,16 +387,15 @@ class TestMaxMatchingSize:
         agents = tuple(f"{prefix}{i}" for i in range(rng.randint(0, 30)))
         categories = tuple(f"c{i}" for i in range(rng.randint(1, 5)))
         density = rng.random()
-        edges = tuple((a, c) for a in agents for c in categories if rng.random() < density)
+        eligible = {a: tuple(c for c in categories if rng.random() < density) for a in agents}
         return DayGraph(
             day_index=1,
             size_cap=rng.randint(0, 20),
             agents=agents,
             base_weights={a: Fraction(1, 2) for a in agents},
             discount=Fraction(1, 2),
-            categories=categories,
             capacities={c: rng.randint(0, 6) for c in categories},
-            edges=edges,
+            eligible=eligible,
             precedence={a: i for i, a in enumerate(agents)},
         )
 
@@ -422,9 +421,8 @@ class TestMaxMatchingSize:
             agents=("a1", "a2"),
             base_weights={"a1": Fraction(1), "a2": Fraction(1)},
             discount=Fraction(1, 2),
-            categories=("c1", "c2"),
             capacities={"c1": 1, "c2": 1},
-            edges=(("a1", "c1"), ("a1", "c2"), ("a2", "c1")),
+            eligible={"a1": ("c1", "c2"), "a2": ("c1",)},
             precedence={"a1": 0, "a2": 1},
         )
         assert max_matching_size(graph) == 2

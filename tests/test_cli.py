@@ -61,6 +61,23 @@ class TestGenerate:
         assert code == cli.EXIT_INVALID
         assert "invalid generator config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, where",
+        [
+            ({"groups": [1]}, "groups[0]: expected an object"),
+            ({"supply_model": 3}, "supply_model: expected an object"),
+            ({"supply_model": {"supply_low": "x"}}, "supply_model.supply_low: expected int"),
+            ({"groups": [{"label": "g", "weight": "x", "priority": "1/2"}]}, "groups[0].weight: expected float"),
+        ],
+        ids=["group-not-an-object", "supply-model-not-an-object", "supply-not-a-number", "weight-not-a-number"],
+    )
+    def test_malformed_config_is_malformed_input(self, tmp_path, capsys, override, where):
+        config = self.config_file(tmp_path, **override)
+        code = run(["generate", "--config", config, "--out", str(tmp_path / "x.json")])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "malformed input" in err and where in err
+
 
 class TestSolve:
     def test_adversarial_online_on_tight_fixture(self, tmp_path, capsys):
@@ -104,6 +121,16 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert run(["solve", "no-such-file.json", "--algorithm", "online1"]) == cli.EXIT_INVALID
+
+    def test_directory_is_refused_by_name(self, tmp_path, capsys):
+        assert run(["solve", str(tmp_path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert f"cannot open {tmp_path}" in capsys.readouterr().err
+
+    def test_instance_that_is_not_utf8_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "instance", "note": "café"}'.encode("latin-1"))
+        assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert "malformed input" in capsys.readouterr().err
 
     def test_explicit_tie_break_order(self, capsys):
         # Preferring a1 on the tight fixture reproduces the bad run.

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rationd.model import Agent, Allocation, Category, Instance, check_allocation, total_utility
+from rationd.model import Agent, Category, Instance, check_allocation, total_utility
 from rationd.offline import TieBreakOrder, solve_exact_oracle, solve_offline_model1
 from rationd.online import (
-    DailyMatchState,
     build_day_graph,
     max_weight_capped_bmatching,
     run_online,
@@ -19,20 +18,15 @@ from helpers import random_instance, tight_general, tight_model1
 from oracles import best_day_matching, lex_first_day_matching
 
 
-def fresh_state(instance, model2=False, day=1):
-    remaining = {c.id: c.overall_quota for c in instance.categories} if model2 else None
-    return DailyMatchState(
-        day_index=day,
-        unmatched_pool=frozenset(a.id for a in instance.agents),
-        remaining_overall=remaining,
-        allocation_so_far=Allocation.empty(instance),
-    )
+def fresh_graph(instance, day=1, tie_break=None):
+    """The day graph with every agent still waiting."""
+    return build_day_graph(instance, day, [a.id for a in instance.agents], tie_break=tie_break)
 
 
 class TestBuildDayGraph:
     def test_tight_example_day_one(self):
         inst = tight_model1()
-        graph = build_day_graph(fresh_state(inst), inst)
+        graph = fresh_graph(inst)
         assert set(graph.agents) == {"a1", "a2"}
         assert set(graph.edges) == {("a1", "c1"), ("a1", "c2"), ("a2", "c2")}
         assert graph.weight("a1") == graph.weight("a2") == Fraction(1, 2)
@@ -40,36 +34,26 @@ class TestBuildDayGraph:
 
     def test_no_available_agents(self):
         inst = tight_model1()
-        state = fresh_state(inst, day=2)
         # Only a1 is available on day 2; empty the pool of it.
-        state = DailyMatchState(2, frozenset({"a2"}), None, state.allocation_so_far)
-        graph = build_day_graph(state, inst)
+        graph = build_day_graph(inst, 2, {"a2"})
         assert graph.agents == ()
         assert graph.edges == ()
 
     def test_exhausted_overall_quota_drops_category(self):
         inst = tight_general()
-        state = DailyMatchState(
-            day_index=2,
-            unmatched_pool=frozenset({"a2"}),
-            remaining_overall={"c1": 0, "c2": 1},
-            allocation_so_far=Allocation.empty(inst),
-        )
-        graph = build_day_graph(state, inst, model2=True)
+        graph = build_day_graph(inst, 2, {"a2"}, remaining_overall={"c1": 0, "c2": 1})
         assert "c1" not in graph.categories
         assert graph.capacities.get("c2") == 1
         assert graph.edges == ()  # a2 is only eligible under the exhausted c1
 
     def test_day_outside_horizon_rejected(self):
         inst = tight_model1()
-        state = fresh_state(inst, day=3)
         with pytest.raises(ValueError, match="horizon"):
-            build_day_graph(state, inst)
+            fresh_graph(inst, day=3)
 
     def test_discount_factor_matches_day(self):
         inst = tight_model1()
-        state = DailyMatchState(2, frozenset({"a1"}), None, Allocation.empty(inst))
-        graph = build_day_graph(state, inst)
+        graph = build_day_graph(inst, 2, {"a1"})
         assert graph.day_factor == Fraction(19, 20)
         assert graph.weight("a1") == Fraction(1, 2) * Fraction(19, 20)
 
@@ -77,15 +61,14 @@ class TestBuildDayGraph:
 class TestDayMatching:
     def test_tight_day_one_is_singleton_of_shared_weight(self):
         inst = tight_model1()
-        graph = build_day_graph(fresh_state(inst), inst)
+        graph = fresh_graph(inst)
         matched = max_weight_capped_bmatching(graph)
         assert len(matched) == 1
         assert sum(graph.weight(a) for a, _c in matched) == Fraction(1, 2)
 
     def test_empty_graph(self):
         inst = tight_model1()
-        state = DailyMatchState(1, frozenset(), None, Allocation.empty(inst))
-        graph = build_day_graph(state, inst)
+        graph = build_day_graph(inst, 1, ())
         assert max_weight_capped_bmatching(graph) == frozenset()
 
     def test_two_best_of_three_agents(self):
@@ -100,7 +83,7 @@ class TestDayMatching:
             daily_supply=(2,),
             discount=Fraction(1, 2),
         )
-        graph = build_day_graph(fresh_state(inst), inst)
+        graph = fresh_graph(inst)
         matched = max_weight_capped_bmatching(graph)
         assert {a for a, _c in matched} == {"a1", "a2"}
 
@@ -108,7 +91,7 @@ class TestDayMatching:
         rng = random.Random(31)
         for _ in range(80):
             inst = random_instance(rng, max_agents=5, max_days=2, max_cats=3, max_cap=2)
-            graph = build_day_graph(fresh_state(inst), inst)
+            graph = fresh_graph(inst)
             matched = max_weight_capped_bmatching(graph)
             weight = sum((graph.weight(a) for a, _c in matched), Fraction(0))
             best_weight, best_size = best_day_matching(graph)
@@ -127,8 +110,8 @@ class TestDayMatching:
             daily_supply=(1,),
             discount=Fraction(1, 2),
         )
-        first = build_day_graph(fresh_state(inst), inst, tie_break=TieBreakOrder(("a1", "a2")))
-        second = build_day_graph(fresh_state(inst), inst, tie_break=TieBreakOrder(("a2", "a1")))
+        first = fresh_graph(inst, tie_break=TieBreakOrder(("a1", "a2")))
+        second = fresh_graph(inst, tie_break=TieBreakOrder(("a2", "a1")))
         assert max_weight_capped_bmatching(first) == {("a1", "c1")}
         assert max_weight_capped_bmatching(second) == {("a2", "c1")}
 
@@ -146,8 +129,35 @@ class TestDayMatching:
             daily_supply=(2,),
             discount=Fraction(1, 2),
         )
-        graph = build_day_graph(fresh_state(inst), inst)
+        graph = fresh_graph(inst)
         assert max_weight_capped_bmatching(graph) == {("a0", "c1"), ("a1", "c0")}
+
+    @pytest.mark.parametrize(
+        "c0_daily_quota, remaining_overall",
+        [(0, None), (2, {"c0": 0})],
+        ids=["daily-quota-zero", "overall-quota-used-up"],
+    )
+    def test_closed_categories_are_passed_over(self, c0_daily_quota, remaining_overall):
+        # c0 is closed today and listed first by a0 and a2. a1 takes c1
+        # first and a0 its next open category, c1; a2 then gets in only by
+        # moving a0 on to c2. The relabel pass tries a0 in c0, c1 and c2 in
+        # turn and must pass over c0.
+        inst = Instance(
+            agents=(
+                Agent("a0", Fraction(1, 2), (True,), frozenset({"c0", "c1", "c2"})),
+                Agent("a1", Fraction(3, 4), (True,), frozenset({"c1"})),
+                Agent("a2", Fraction(1, 2), (True,), frozenset({"c0", "c1"})),
+            ),
+            categories=(Category("c0", (c0_daily_quota,)), Category("c1", (2,)), Category("c2", (1,))),
+            num_days=1,
+            daily_supply=(3,),
+            discount=Fraction(1, 2),
+        )
+        graph = build_day_graph(inst, 1, {"a0", "a1", "a2"}, remaining_overall=remaining_overall)
+        assert graph.categories == ("c1", "c2")
+        assert graph.eligible["a0"] == ("c0", "c1", "c2")
+        matched = max_weight_capped_bmatching(graph)
+        assert matched == lex_first_day_matching(graph) == {("a0", "c2"), ("a1", "c1"), ("a2", "c1")}
 
     def test_matches_lexicographic_enumeration_on_random_day_graphs(self):
         # Few distinct priorities, so weight ties are common.
@@ -161,8 +171,12 @@ class TestDayMatching:
             rng.shuffle(order)
             day = rng.randint(1, inst.num_days)
             pool = frozenset(a for a in order if rng.random() < 0.8)
-            state = DailyMatchState(day, pool, None, Allocation.empty(inst))
-            graph = build_day_graph(state, inst, tie_break=TieBreakOrder(tuple(order)))
+            # Model 2 half the time: overall quotas left that can close a
+            # category or cut its daily quota.
+            remaining = None
+            if rng.random() < 0.5:
+                remaining = {c.id: rng.randint(0, 3) for c in inst.categories}
+            graph = build_day_graph(inst, day, pool, remaining, tie_break=TieBreakOrder(tuple(order)))
             assert max_weight_capped_bmatching(graph) == lex_first_day_matching(graph)
 
 
@@ -307,8 +321,7 @@ class TestRunOnline:
         for _ in range(30):
             inst = random_instance(rng, max_agents=5, max_days=3, max_cats=2, max_cap=2)
             day = rng.randint(1, inst.num_days)
-            state = DailyMatchState(day, frozenset(a.id for a in inst.agents), None, Allocation.empty(inst))
-            graph = build_day_graph(state, inst)
+            graph = fresh_graph(inst, day)
             matched = max_weight_capped_bmatching(graph)
             full_weight = sum((graph.weight(a) for a, _c in matched), Fraction(0))
             best_full, _ = best_day_matching(graph)
