@@ -9,9 +9,11 @@ are designed around:
   online-matched one at a bounded utility ratio, reconstructed per day from
   the symmetric difference of the two day matchings;
 * deviation probing: no agent can get matched strictly earlier by reporting
-  a subset of their true availability. Each under-report is replayed from
-  the first day it hides, from the truthful run's state then, and stops on
-  the day the agent is matched;
+  a subset of their true availability. One walk per agent runs the day
+  loop without it and matches each of its available days again with it
+  added; the days it would be kept on settle every under-report, and the
+  days it would not be kept on must show an unchanged matching, or the
+  report names the first that does not as its witness;
 * coverage metrics (reachable vs. served counts, per priority group).
 
 Everything here is exact; certificates either hold or carry a witness day.
@@ -19,16 +21,18 @@ Everything here is exact; certificates either hold or carry a witness day.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .model import Allocation, Instance, total_utility, utility_of
 from .offline import solve_exact_oracle, solve_offline_model1
-from .online import DayGraph, PrefixReplay, TieBreak, run_online
+from . import online
+from .online import DayGraph, TieBreak, run_online
 
 ONLINE = "online"
 OFFLINE = "offline"
@@ -452,28 +456,39 @@ def build_charging_report(
 def _match_overflow(
     chargers: list[tuple[int, str]], targets: list[tuple[int, str]]
 ) -> list[tuple[tuple[int, str], tuple[int, str]]] | None:
-    """Injectively map each (day, charger) to a strictly earlier (day, target)."""
-    taken: dict[int, tuple[int, str]] = {}
+    """Injectively map each (day, charger) to a strictly earlier (day, target).
 
-    def augment(ci: int, banned: set[int]) -> bool:
-        day = chargers[ci][0]
-        for ti, target in enumerate(targets):
-            if ti in banned or target[0] >= day:
+    Augmenting paths are searched depth first with an explicit stack, so a
+    long chain of chargers displacing one another needs no recursion.
+    """
+    taken: dict[int, int] = {}  # target index -> charger index
+    for start in range(len(chargers)):
+        banned: set[int] = set()
+        stack = [[start, 0]]  # [charger, next target index to try]
+        chosen: list[int] = []  # the target each frame below the top is trying
+        while stack:
+            frame = stack[-1]
+            ci, ti = frame
+            day = chargers[ci][0]
+            while ti < len(targets) and (ti in banned or targets[ti][0] >= day):
+                ti += 1
+            if ti == len(targets):
+                stack.pop()
+                if chosen:
+                    chosen.pop()
                 continue
+            frame[1] = ti + 1
             banned.add(ti)
+            chosen.append(ti)
             holder = taken.get(ti)
-            if holder is None or augment(holder[0], banned):
-                taken[ti] = (ci, target)
-                return True
-        return False
-
-    for ci in range(len(chargers)):
-        if not augment(ci, set()):
+            if holder is None:
+                for (mover, _next), target in zip(stack, chosen):
+                    taken[target] = mover
+                break
+            stack.append([holder, 0])
+        else:
             return None
-    out = []
-    for ti, (ci, target) in sorted(taken.items()):
-        out.append((chargers[ci], target))
-    return out
+    return [(chargers[ci], targets[ti]) for ti, ci in sorted(taken.items())]
 
 
 def _certify(
@@ -539,14 +554,58 @@ class DeviationOutcome:
 
 @dataclass(frozen=True)
 class DeviationReport:
+    """Where one agent ends up under every report of a subset of its truly
+    available days.
+
+    ``kept_days`` (M) are the available days on which the day's matching
+    keeps the agent when it is added to the run without it. A report S ends
+    on ``min(S & M)``, or None, and the truthful day is ``min(M)``, so no
+    under-report ends earlier. This is exact when ``witness_day`` is None:
+    on every available day outside M, adding the agent left the day's
+    matching unchanged. Otherwise ``witness_day`` is the first day where it
+    did not, and the report is not strategyproof.
+    """
+
     agent: str
-    truthful_day: int | None
-    outcomes: tuple[DeviationOutcome, ...]
-    improving: tuple[DeviationOutcome, ...]
+    available_days: tuple[int, ...]
+    kept_days: tuple[int, ...]
+    witness_day: int | None
+
+    @property
+    def truthful_day(self) -> int | None:
+        return self.kept_days[0] if self.kept_days else None
+
+    def outcome_of(self, reported: Iterable[int]) -> int | None:
+        """Day the agent is matched on when it reports ``reported``, or None."""
+        days = set(reported)
+        if not days <= set(self.available_days):
+            raise ValueError(f"{self.agent!r} is not available on days {sorted(days - set(self.available_days))}")
+        return next((d for d in self.kept_days if d in days), None)
+
+    @cached_property
+    def outcomes(self) -> tuple[DeviationOutcome, ...]:
+        """Every proper subset of the available days with its outcome, by
+        size, then in lexicographic order. Built on first access: an agent
+        with k available days has 2^k - 1 of them."""
+        kept = set(self.kept_days)
+        days = self.available_days
+        return tuple(
+            DeviationOutcome(reported, next((d for d in reported if d in kept), None))
+            for size in range(len(days))
+            for reported in itertools.combinations(days, size)
+        )
+
+    @property
+    def improving(self) -> tuple[DeviationOutcome, ...]:
+        """Under-reports that end strictly before the truthful day. A report
+        ends on its earliest kept day and the truthful day is the earliest
+        kept day of all, so there are none; ``witness_day`` is None when
+        the kept days are certified."""
+        return ()
 
     @property
     def strategyproof(self) -> bool:
-        return not self.improving
+        return self.witness_day is None and not self.improving
 
 
 def availability_deviation_report(
@@ -554,69 +613,43 @@ def availability_deviation_report(
     agent_id: str,
     model2: bool = False,
     tie_break: TieBreak = None,
-    max_enumeration_days: int = 20,
-    sample_size: int = 256,
-    seed: int = 0,
 ) -> DeviationReport:
-    """Rerun the online algorithm for every under-report of one agent's
-    availability and record the day they end up matched.
+    """Settle every under-report of one agent's availability with one walk.
 
-    All proper subsets of the truly available days are enumerated. Beyond
-    ``max_enumeration_days``, ``sample_size`` distinct ones are drawn with
-    ``seed`` instead, unless there are no more than that many to draw from.
-    A deviation is improving when it gets the agent matched on a strictly
-    earlier day than truthful reporting.
-
-    The algorithm never reads ahead, so an under-report changes nothing
-    before the first day it hides. Each one is therefore replayed from the
-    truthful run's state at that day, and the replay stops on the day the
-    agent is matched; an under-report whose first hidden day comes after the
-    truthful match day keeps that day without a replay. The truthful run is
-    the only full run.
+    The walk runs the online day loop without the agent and, on each of its
+    truly available days, matches that day's graph again with the agent
+    inserted at its rank. Each day is a greedy over a matroid, so adding a
+    candidate the greedy does not keep leaves the day's matching as it was;
+    until it is kept, the agent therefore changes nothing, whatever it
+    reports. The walk checks this on every available day where the agent
+    is not kept (see :class:`DeviationReport`). Raises ValueError as
+    :func:`run_online` does, and for an unknown agent.
     """
-    agents = {a.id: a for a in instance.agents}
-    if agent_id not in agents:
+    agent = next((a for a in instance.agents if a.id == agent_id), None)
+    if agent is None:
         raise ValueError(f"unknown agent {agent_id!r}")
-    agent = agents[agent_id]
-    true_days = tuple(d for d in range(1, instance.num_days + 1) if agent.availability[d - 1])
+    ranking, remaining = online._start(instance, model2, tie_break)
+    position = {a: i for i, a in enumerate(ranking.order)}
+    rank = position[agent_id]
+    pool = [a for a in ranking.order if a != agent_id]
 
-    truthful = run_online(instance, model2=model2, tie_break=tie_break)
-    truthful_day = truthful.day_of(agent_id)
-
-    proper_subsets = (1 << len(true_days)) - 1
-    if len(true_days) <= max_enumeration_days or sample_size >= proper_subsets:
-        subsets: Iterable[tuple[int, ...]] = (
-            combo for r in range(len(true_days)) for combo in itertools.combinations(true_days, r)
-        )
-    else:
-        rng = random.Random(seed)
-        seen: set[tuple[int, ...]] = set()
-        picks: list[tuple[int, ...]] = []
-        while len(picks) < sample_size:
-            subset = tuple(d for d in true_days if rng.random() < 0.5)
-            if subset == true_days or subset in seen:
-                continue
-            seen.add(subset)
-            picks.append(subset)
-        subsets = picks
-
-    replay = PrefixReplay(instance, truthful, model2=model2, tie_break=tie_break)
-    outcomes: list[DeviationOutcome] = []
-    for reported in subsets:
-        first_hidden = next(d for d in true_days if d not in reported)
-        if truthful_day is not None and truthful_day < first_hidden:
-            matched_day: int | None = truthful_day
-        else:
-            mask = tuple(d in reported for d in range(1, instance.num_days + 1))
-            matched_day = replay.matched_day(agent_id, mask, first_hidden)
-        outcomes.append(DeviationOutcome(reported, matched_day))
-
-    improving = tuple(
-        o
-        for o in outcomes
-        if o.matched_day is not None and (truthful_day is None or o.matched_day < truthful_day)
-    )
-    return DeviationReport(agent_id, truthful_day, tuple(outcomes), improving)
+    available: list[int] = []
+    kept: list[int] = []
+    witness: int | None = None
+    for trace in online._run_days(instance, ranking, pool, remaining):
+        graph = trace.graph
+        day = graph.day_index
+        if not agent.availability[day - 1]:
+            continue
+        available.append(day)
+        at = bisect.bisect(graph.agents, rank, key=position.__getitem__)
+        agents = graph.agents[:at] + (agent_id,) + graph.agents[at:]
+        matched = online.max_weight_capped_bmatching(replace(graph, agents=agents))
+        if any(a == agent_id for a, _c in matched):
+            kept.append(day)
+        elif matched != trace.matched and witness is None:
+            witness = day
+    return DeviationReport(agent_id, tuple(available), tuple(kept), witness)
 
 
 # ---------------------------------------------------------------------------

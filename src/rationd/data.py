@@ -423,11 +423,21 @@ def config_to_document(config: GeneratorConfig) -> dict[str, Any]:
     }
 
 
-def _number(kind: type[int] | type[float], value: Any, where: str) -> Any:
+def _integer(value: Any, where: str) -> int:
+    """A JSON integer; booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataFormatError(f"{where}: expected int, got {value!r}")
+    return value
+
+
+def _real(value: Any, where: str) -> float:
+    """A JSON number (not a boolean), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataFormatError(f"{where}: expected float, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise DataFormatError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+        return float(value)
+    except OverflowError:
+        raise DataFormatError(f"{where}: {value!r} is out of float range") from None
 
 
 def config_from_document(document: Mapping[str, Any], where: str = "config") -> GeneratorConfig:
@@ -444,7 +454,7 @@ def config_from_document(document: Mapping[str, Any], where: str = "config") -> 
         groups.append(
             GroupSpec(
                 label=str(_expect(raw, "label", spot)),
-                weight=_number(float, _expect(raw, "weight", spot), f"{spot}.weight"),
+                weight=_real(_expect(raw, "weight", spot), f"{spot}.weight"),
                 priority=parse_rational(_expect(raw, "priority", spot), f"{spot}.priority"),
             )
         )
@@ -452,19 +462,19 @@ def config_from_document(document: Mapping[str, Any], where: str = "config") -> 
     if not isinstance(raw_sm, Mapping):
         raise DataFormatError(f"{where}.supply_model: expected an object")
     supply = {
-        name: _number(int, raw_sm.get(name, getattr(SupplyModel, name)), f"{where}.supply_model.{name}")
+        name: _integer(raw_sm.get(name, getattr(SupplyModel, name)), f"{where}.supply_model.{name}")
         for name in ("supply_low", "supply_high", "quota_low", "quota_high")
     }
     return GeneratorConfig(
-        num_agents=_number(int, _expect(document, "num_agents", where), f"{where}.num_agents"),
-        num_days=_number(int, _expect(document, "num_days", where), f"{where}.num_days"),
-        num_hospitals=_number(int, _expect(document, "num_hospitals", where), f"{where}.num_hospitals"),
-        cluster_radius_links=_number(int, document.get("cluster_radius_links", 1), f"{where}.cluster_radius_links"),
-        availability_density=_number(float, document.get("availability_density", 0.5), f"{where}.availability_density"),
+        num_agents=_integer(_expect(document, "num_agents", where), f"{where}.num_agents"),
+        num_days=_integer(_expect(document, "num_days", where), f"{where}.num_days"),
+        num_hospitals=_integer(_expect(document, "num_hospitals", where), f"{where}.num_hospitals"),
+        cluster_radius_links=_integer(document.get("cluster_radius_links", 1), f"{where}.cluster_radius_links"),
+        availability_density=_real(document.get("availability_density", 0.5), f"{where}.availability_density"),
         group_specs=tuple(groups) if groups else DEFAULT_GROUPS,
         discount=parse_rational(document.get("discount", "0.95"), f"{where}.discount"),
         supply_model=SupplyModel(**supply),
-        seed=_number(int, document.get("seed", 0), f"{where}.seed"),
+        seed=_integer(document.get("seed", 0), f"{where}.seed"),
     )
 
 

@@ -304,27 +304,42 @@ def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
     return frozenset(seat.items())
 
 
-def _run_days(
-    instance: Instance,
-    ranking: _Ranking,
-    first_day: int,
-    pool: list[str],
-    remaining: dict[str, int] | None,
-    availability: Mapping[str, Sequence[bool]],
-) -> Iterator[DayTrace]:
-    """The greedy day loop from ``first_day`` to the horizon, one trace per
-    day, yielded as each day is committed.
+def _start(instance: Instance, model2: bool, tie_break: TieBreak) -> tuple[_Ranking, dict[str, int] | None]:
+    """Check a run's inputs and return its ranking and, in model 2, the
+    overall quotas left at the start (else None).
 
-    ``pool`` lists the agents still unmatched at the start of ``first_day``,
-    in greedy order; ``remaining`` (model 2, else None) holds the overall
-    quotas left then and is updated in place. Only today's entry of each
-    ``availability`` row is read. A caller that stops iterating stops the
-    run after the day it last received.
+    Raises ValueError for an instance that is not well-formed, a model 2 run
+    on a category without an overall quota, or an unknown tie-break.
     """
-    for day in range(first_day, instance.num_days + 1):
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValueError(f"instance is not well-formed: {report.violations[0].message}")
+    if model2 and not instance.has_overall_quotas():
+        missing = [c.id for c in instance.categories if c.overall_quota is None]
+        raise ValueError(f"model2 run needs an overall quota on every category; missing on {missing}")
+    ranking = _ranking(instance, tie_break)
+    remaining: dict[str, int] | None = None
+    if model2:
+        remaining = {c.id: c.overall_quota for c in instance.categories}  # type: ignore[misc]
+    return ranking, remaining
+
+
+def _run_days(
+    instance: Instance, ranking: _Ranking, pool: list[str], remaining: dict[str, int] | None
+) -> Iterator[DayTrace]:
+    """The greedy day loop over the whole horizon, one trace per day,
+    yielded once the day is matched and before it is committed.
+
+    ``pool`` lists the agents taking part, in greedy order; ``remaining``
+    (model 2, else None) holds the overall quotas left and is updated in
+    place.
+    """
+    availability = {a.id: a.availability for a in instance.agents}
+    for day in range(1, instance.num_days + 1):
         candidates = tuple(a for a in pool if availability[a][day - 1])
         graph = _day_graph(instance, day, candidates, remaining, ranking)
         matched = max_weight_capped_bmatching(graph)
+        yield DayTrace(graph=graph, matched=matched)
         if matched:
             taken = {a for a, _c in matched}
             pool = [a for a in pool if a not in taken]
@@ -332,73 +347,19 @@ def _run_days(
                 for _a, cat_id in matched:
                     remaining[cat_id] -= 1
         log.debug("day=%d candidates=%d matched=%d pool=%d", day, len(candidates), len(matched), len(pool))
-        yield DayTrace(graph=graph, matched=matched)
 
 
 def run_online_with_trace(
     instance: Instance, model2: bool = False, tie_break: TieBreak = None
 ) -> tuple[Allocation, tuple[DayTrace, ...]]:
     """Run the greedy day loop and keep each day's graph and matching."""
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError(f"instance is not well-formed: {report.violations[0].message}")
-    if model2 and not instance.has_overall_quotas():
-        missing = [c.id for c in instance.categories if c.overall_quota is None]
-        raise ValueError(f"model2 run needs an overall quota on every category; missing on {missing}")
-
-    ranking = _ranking(instance, tie_break)
-    remaining: dict[str, int] | None = None
-    if model2:
-        remaining = {c.id: c.overall_quota for c in instance.categories}  # type: ignore[misc]
-    availability = {a.id: a.availability for a in instance.agents}
-    traces = tuple(_run_days(instance, ranking, 1, list(ranking.order), remaining, availability))
+    ranking, remaining = _start(instance, model2, tie_break)
+    traces = tuple(_run_days(instance, ranking, list(ranking.order), remaining))
     assignment: dict[str, tuple[str, int] | None] = {a.id: None for a in instance.agents}
     for trace in traces:
         for agent_id, cat_id in trace.matched:
             assignment[agent_id] = (cat_id, trace.graph.day_index)
     return Allocation(assignment), traces
-
-
-class PrefixReplay:
-    """Reruns of one online run in which a single agent reports other
-    availability, each resumed at the first day the report differs.
-
-    Up to that day the rerun is the original run, so its start-of-day state
-    comes from the original allocation: the pool is every agent not matched
-    before that day, in greedy order, and the overall quotas left are the
-    quotas minus the units used before it. The instance and allocation are
-    trusted to come from a :func:`run_online` call with the same ``model2``
-    and ``tie_break``; nothing is validated again.
-    """
-
-    def __init__(
-        self, instance: Instance, allocation: Allocation, model2: bool = False, tie_break: TieBreak = None
-    ) -> None:
-        self._instance = instance
-        self._allocation = allocation
-        # Unmatched agents count as matched after the horizon.
-        self._match_day = {a.id: allocation.day_of(a.id) or instance.num_days + 1 for a in instance.agents}
-        self._model2 = model2
-        self._ranking = _ranking(instance, tie_break)
-        self._availability = {a.id: a.availability for a in instance.agents}
-
-    def matched_day(self, agent_id: str, availability: Sequence[bool], first_day: int) -> int | None:
-        """Day ``agent_id`` is matched on when reporting ``availability``, or
-        None. The report must agree with the agent's true availability before
-        ``first_day``, and the agent must be unmatched before it in the
-        original run. The rerun stops on the day the agent is matched."""
-        pool = [a for a in self._ranking.order if self._match_day[a] >= first_day]
-        remaining: dict[str, int] | None = None
-        if self._model2:
-            remaining = {c.id: c.overall_quota for c in self._instance.categories}  # type: ignore[misc]
-            for _a, cat_id, day in self._allocation.matched():
-                if day < first_day:
-                    remaining[cat_id] -= 1
-        rows = {**self._availability, agent_id: availability}
-        for trace in _run_days(self._instance, self._ranking, first_day, pool, remaining, rows):
-            if any(a == agent_id for a, _c in trace.matched):
-                return trace.graph.day_index
-        return None
 
 
 def run_online(instance: Instance, model2: bool = False, tie_break: TieBreak = None) -> Allocation:

@@ -7,10 +7,10 @@ the package's solvers beyond the data types.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from typing import Iterable
 
 from rationd.analysis import DeviationOutcome
 from rationd.flow import FlowNetwork
@@ -148,30 +148,47 @@ def deviation_outcomes_by_rerun(
     agent_id: str,
     model2: bool = False,
     tie_break: TieBreak = None,
-    max_enumeration_days: int = 20,
-    sample_size: int = 256,
-    seed: int = 0,
+    subsets: Iterable[tuple[int, ...]] | None = None,
 ) -> tuple[DeviationOutcome, ...]:
-    """The outcomes of ``availability_deviation_report``, by rebuilding the
-    instance for every under-report and rerunning the online algorithm on it
-    from day 1 to the horizon. Subsets are chosen, and listed, the way the
-    report chooses them."""
+    """The outcome of each under-report in ``subsets`` (by default every
+    proper subset of the agent's available days, in the order
+    ``DeviationReport.outcomes`` lists them), by rebuilding the instance
+    for it and rerunning the online algorithm from day 1 to the horizon."""
     agent = next(a for a in instance.agents if a.id == agent_id)
-    true_days = tuple(d for d in range(1, instance.num_days + 1) if agent.availability[d - 1])
-    if len(true_days) <= max_enumeration_days or sample_size >= (1 << len(true_days)) - 1:
+    if subsets is None:
+        true_days = tuple(d for d in range(1, instance.num_days + 1) if agent.availability[d - 1])
         subsets = [combo for r in range(len(true_days)) for combo in itertools.combinations(true_days, r)]
-    else:
-        rng = random.Random(seed)
-        subsets = []
-        while len(subsets) < sample_size:
-            subset = tuple(d for d in true_days if rng.random() < 0.5)
-            if subset != true_days and subset not in subsets:
-                subsets.append(subset)
 
     outcomes = []
     for reported in subsets:
         mask = tuple(d in reported for d in range(1, instance.num_days + 1))
         tweaked_agents = tuple(replace(a, availability=mask) if a.id == agent_id else a for a in instance.agents)
         result = run_online(replace(instance, agents=tweaked_agents), model2=model2, tie_break=tie_break)
-        outcomes.append(DeviationOutcome(reported, result.day_of(agent_id)))
+        outcomes.append(DeviationOutcome(tuple(reported), result.day_of(agent_id)))
     return tuple(outcomes)
+
+
+def match_overflow_recursive(
+    chargers: list[tuple[int, str]], targets: list[tuple[int, str]]
+) -> list[tuple[tuple[int, str], tuple[int, str]]] | None:
+    """Injective map of each (day, charger) to a strictly earlier (day,
+    target), by recursive augmenting paths (one frame per charger on a
+    path), or None when there is none."""
+    taken: dict[int, tuple[int, tuple[int, str]]] = {}
+
+    def augment(ci: int, banned: set[int]) -> bool:
+        day = chargers[ci][0]
+        for ti, target in enumerate(targets):
+            if ti in banned or target[0] >= day:
+                continue
+            banned.add(ti)
+            holder = taken.get(ti)
+            if holder is None or augment(holder[0], banned):
+                taken[ti] = (ci, target)
+                return True
+        return False
+
+    for ci in range(len(chargers)):
+        if not augment(ci, set()):
+            return None
+    return [(chargers[ci], target) for _ti, (ci, target) in sorted(taken.items())]

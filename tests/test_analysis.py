@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from rationd import online
 from rationd.data import GeneratorConfig, SupplyModel, generate
 from rationd.model import Agent, Allocation, Category, Instance
 from rationd.offline import TieBreakOrder, solve_exact_oracle, solve_offline_model1
@@ -11,6 +13,7 @@ from rationd.analysis import (
     DELAYED_SELF,
     OVERFLOW,
     SAME_DAY,
+    _match_overflow,
     availability_deviation_report,
     build_charging_report,
     competitive_ratio,
@@ -23,7 +26,7 @@ from rationd.analysis import (
 )
 
 from helpers import random_instance, tight_general, tight_model1
-from oracles import deviation_outcomes_by_rerun
+from oracles import deviation_outcomes_by_rerun, match_overflow_recursive
 
 
 class TestCompetitiveRatio:
@@ -165,6 +168,41 @@ class TestChargingReport:
         assert report.failure_day is not None
 
 
+class TestMatchOverflow:
+    def test_agrees_with_the_recursive_search_on_random_cases(self):
+        rng = random.Random(2718)
+        found = missing = 0
+        for _ in range(600):
+            chargers = [(rng.randint(1, 6), f"c{i}") for i in range(rng.randint(0, 6))]
+            targets = [(rng.randint(1, 6), f"t{i}") for i in range(rng.randint(0, 6))]
+            rng.shuffle(chargers)
+            mapping = _match_overflow(chargers, targets)
+            assert (mapping is None) == (match_overflow_recursive(chargers, targets) is None)
+            if mapping is None:
+                missing += 1
+                continue
+            found += 1
+            assert sorted(charger for charger, _target in mapping) == sorted(chargers)
+            assert len({target for _charger, target in mapping}) == len(mapping)
+            assert all(target in targets and target[0] < charger[0] for charger, target in mapping)
+        assert found > 100 and missing > 100
+
+    def test_a_chain_of_3000_displaced_chargers_needs_no_recursion(self):
+        # Targets on days n..1; chargers c_n..c_2 (c_j on day j + 1) each
+        # take t_j outright, leaving t_1. The last charger x can only get in
+        # by shifting every c_j one target down, a path through all of them.
+        n = 3000
+        targets = [(d, f"t{d}") for d in range(n, 0, -1)]
+        chargers = [(j + 1, f"c{j}") for j in range(n, 1, -1)] + [(n + 1, "x")]
+        with pytest.raises(RecursionError):
+            match_overflow_recursive(chargers, targets)
+        mapping = _match_overflow(chargers, targets)
+        assert mapping is not None
+        target_of = dict(mapping)
+        assert target_of[(n + 1, "x")] == (n, f"t{n}")
+        assert target_of[(3, "c2")] == (1, "t1")
+
+
 class TestDeviations:
     def test_single_available_day(self):
         inst = Instance(
@@ -197,28 +235,102 @@ class TestDeviations:
                 report = availability_deviation_report(inst, agent.id)
                 assert report.strategyproof
 
-    def test_sampling_kicks_in_beyond_the_enumeration_guard(self):
+    def test_outcome_of_matches_full_reruns_on_a_24_day_horizon(self):
         days = 24
         inst = Instance(
             agents=(
                 Agent("a1", Fraction(1, 2), (True,) * days, frozenset({"c1"})),
                 Agent("a2", Fraction(2, 5), (True,) * days, frozenset({"c1"})),
+                Agent("a3", Fraction(2, 5), tuple(d % 3 != 0 for d in range(days)), frozenset({"c1"})),
             ),
             categories=(Category("c1", (1,) * days),),
             num_days=days,
             daily_supply=(1,) * days,
             discount=Fraction(1, 2),
         )
-        report = availability_deviation_report(inst, "a1", max_enumeration_days=20, sample_size=16)
-        assert len(report.outcomes) == 16
-        assert report.strategyproof
+        rng = random.Random(24)
+        for agent in inst.agents:
+            report = availability_deviation_report(inst, agent.id)
+            available = [d for d in range(1, days + 1) if agent.availability[d - 1]]
+            subsets = [(), tuple(available[1:]), tuple(available[2:])]
+            subsets += [tuple(d for d in available if rng.random() < 0.3) for _ in range(13)]
+            expected = deviation_outcomes_by_rerun(inst, agent.id, subsets=subsets)
+            assert [report.outcome_of(s) for s in subsets] == [o.matched_day for o in expected]
+            assert report.truthful_day == run_online(inst).day_of(agent.id)
+            assert report.strategyproof
+            # 2^24 - 1 outcomes: the list is built only when asked for.
+            assert "outcomes" not in vars(report)
 
-    def test_sample_covering_every_subset_enumerates_them(self):
-        # Two available days have three proper subsets; asking for more
-        # samples than that enumerates them instead of drawing forever.
-        inst = tight_model1()
-        report = availability_deviation_report(inst, "a1", max_enumeration_days=1, sample_size=8)
-        assert sorted(o.reported_days for o in report.outcomes) == [(), (1,), (2,)]
+    def test_outcomes_list_every_proper_subset_by_size(self):
+        report = availability_deviation_report(tight_model1(), "a1")
+        assert report.available_days == (1, 2)
+        assert report.kept_days == (2,)
+        assert [(o.reported_days, o.matched_day) for o in report.outcomes] == [((), None), ((1,), None), ((2,), 2)]
+
+    def test_outcome_of_rejects_days_the_agent_is_not_available(self):
+        report = availability_deviation_report(tight_model1(), "a2")
+        assert report.outcome_of([1]) == 1
+        with pytest.raises(ValueError, match="not available on days \\[2\\]"):
+            report.outcome_of([1, 2])
+
+    @pytest.mark.parametrize(
+        "inst, model2, tie_break",
+        [
+            (replace(tight_model1(), discount=Fraction(1)), False, None),
+            (tight_model1(), True, None),
+            (tight_model1(), False, "sideways"),
+            (tight_model1(), False, TieBreakOrder(("a1",))),
+        ],
+        ids=["ill-formed", "model2-without-quotas", "unknown-mode", "partial-order"],
+    )
+    def test_rejects_what_run_online_rejects(self, inst, model2, tie_break):
+        with pytest.raises(ValueError) as expected:
+            run_online(inst, model2=model2, tie_break=tie_break)
+        with pytest.raises(ValueError) as raised:
+            availability_deviation_report(inst, "a1", model2=model2, tie_break=tie_break)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "inst, agent_id, kept, witness",
+        [
+            # With a1 added, day 1 keeps a2 only; a1 is kept on day 2.
+            (tight_model1(), "a1", (2,), 1),
+            # b is never kept: on each day the day's only agent outranks it.
+            (
+                Instance(
+                    agents=(
+                        Agent("b", Fraction(1, 4), (True, True, True), frozenset({"c1"})),
+                        *(Agent(f"x{d}", Fraction(1, 2), tuple(e == d for e in range(3)), frozenset({"c1"})) for d in range(3)),
+                    ),
+                    categories=(Category("c1", (1, 1, 1)),),
+                    num_days=3,
+                    daily_supply=(1, 1, 1),
+                    discount=Fraction(1, 2),
+                ),
+                "b",
+                (),
+                1,
+            ),
+        ],
+        ids=["kept-later", "never-kept"],
+    )
+    def test_a_matching_changed_by_a_non_kept_agent_is_the_witness(self, monkeypatch, inst, agent_id, kept, witness):
+        real = online.max_weight_capped_bmatching
+
+        def meddling(graph):
+            # Drops the whole matching on the days the probed agent is a
+            # candidate and is not kept.
+            matched = real(graph)
+            if agent_id in graph.agents and all(a != agent_id for a, _c in matched):
+                return frozenset()
+            return matched
+
+        assert availability_deviation_report(inst, agent_id).witness_day is None
+        monkeypatch.setattr(online, "max_weight_capped_bmatching", meddling)
+        report = availability_deviation_report(inst, agent_id)
+        assert report.kept_days == kept
+        assert report.witness_day == witness
+        assert not report.strategyproof
 
     def test_replay_matches_full_reruns_on_random_cases(self):
         rng = random.Random(314159)
@@ -234,6 +346,7 @@ class TestDeviations:
                     expected = deviation_outcomes_by_rerun(inst, agent.id, model2=model2, tie_break=tie_break)
                     assert report.outcomes == expected
                     assert report.truthful_day == run_online(inst, model2=model2, tie_break=tie_break).day_of(agent.id)
+                    assert report.strategyproof
                     cases += 1
                     changed += sum(o.matched_day != report.truthful_day for o in expected)
         assert cases >= 300
@@ -250,34 +363,32 @@ class TestDeviations:
             seed=7,
         )
         inst = generate(config)
+        truthful = run_online(inst)
         subsets = 0
         for agent in inst.agents:
             report = availability_deviation_report(inst, agent.id)
             assert report.outcomes == deviation_outcomes_by_rerun(inst, agent.id)
+            assert report.truthful_day == truthful.day_of(agent.id)
+            assert report.strategyproof
             subsets += len(report.outcomes)
         assert subsets == 364
 
-    def test_replay_matches_full_reruns_when_sampling(self):
+    def test_outcome_of_matches_full_reruns_on_sampled_subsets(self):
         rng = random.Random(57721)
-        sampled = enumerated = 0
+        checked = moved = 0
         for index in range(40):
             model2 = index % 2 == 1
-            inst = random_instance(rng, max_agents=5, max_days=5, density=0.8, model2=model2)
+            inst = random_instance(rng, max_agents=5, max_days=8, density=0.8, model2=model2)
             for agent in inst.agents:
-                proper = (1 << sum(agent.availability)) - 1
-                if proper < 3:
-                    continue
-                for sample_size in (proper // 2, proper, proper + 2):
-                    kwargs = dict(model2=model2, max_enumeration_days=1, sample_size=sample_size, seed=index)
-                    report = availability_deviation_report(inst, agent.id, **kwargs)
-                    assert report.outcomes == deviation_outcomes_by_rerun(inst, agent.id, **kwargs)
-                    if sample_size < proper:
-                        sampled += 1
-                        assert len(report.outcomes) == sample_size
-                    else:
-                        enumerated += 1
-                        assert len(report.outcomes) == proper
-        assert sampled > 0 and enumerated > 0
+                report = availability_deviation_report(inst, agent.id, model2=model2)
+                available = [d for d in range(1, inst.num_days + 1) if agent.availability[d - 1]]
+                subsets = [tuple(d for d in available if rng.random() < 0.5) for _ in range(4)]
+                expected = deviation_outcomes_by_rerun(inst, agent.id, model2=model2, subsets=subsets)
+                assert [report.outcome_of(s) for s in subsets] == [o.matched_day for o in expected]
+                assert report.strategyproof
+                checked += len(subsets)
+                moved += sum(o.matched_day != report.truthful_day for o in expected)
+        assert checked > 300 and moved > 0
 
 
 class TestMetrics:

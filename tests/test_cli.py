@@ -1,10 +1,12 @@
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rationd import analysis, cli
-from rationd.data import instance_to_document, write_allocation
+from rationd.data import instance_to_document, read_instance, write_allocation
 from rationd.model import Allocation
 
 from helpers import tight_model1
@@ -60,6 +62,26 @@ class TestGenerate:
         code = run(["generate", "--config", config, "--out", str(tmp_path / "x.json")])
         assert code == cli.EXIT_INVALID
         assert "invalid generator config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, where",
+        [
+            ({"num_agents": True}, "num_agents: expected int, got True"),
+            ({"num_days": 2.9}, "num_days: expected int, got 2.9"),
+            ({"num_hospitals": "2"}, "num_hospitals: expected int, got '2'"),
+            ({"seed": 1.0}, "seed: expected int, got 1.0"),
+            ({"supply_model": {"quota_high": False}}, "supply_model.quota_high: expected int, got False"),
+            ({"availability_density": True}, "availability_density: expected float, got True"),
+        ],
+        ids=["bool-agents", "fractional-days", "string-hospitals", "float-seed", "bool-quota", "bool-density"],
+    )
+    def test_numeric_fields_take_only_json_numbers(self, tmp_path, capsys, override, where):
+        config = self.config_file(tmp_path, **override)
+        out = tmp_path / "x.json"
+        assert run(["generate", "--config", config, "--out", str(out)]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "malformed input" in err and where in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override, where",
@@ -217,17 +239,37 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL] supplied allocation feasible" in out
 
-    def test_seed_reaches_the_deviation_sampler(self, monkeypatch, capsys):
-        seeds = []
+    def test_seed_picks_the_probed_agents(self, monkeypatch, capsys):
+        probed = []
         real = analysis.availability_deviation_report
 
-        def spy(*args, **kwargs):
-            seeds.append(kwargs.get("seed"))
-            return real(*args, **kwargs)
+        def spy(instance, agent_id, **kwargs):
+            probed.append(agent_id)
+            return real(instance, agent_id, **kwargs)
 
         monkeypatch.setattr(analysis, "availability_deviation_report", spy)
-        assert run(["verify", TIGHT_M1, "--seed", "17"]) == 0
-        assert seeds and set(seeds) == {17}
+        agent_ids = [a.id for a in read_instance(TIGHT_M1).agents]
+        picks = set()
+        for seed in range(8):
+            probed.clear()
+            assert run(["verify", TIGHT_M1, "--seed", str(seed), "--deviation-agents", "1"]) == 0
+            expected = list(agent_ids)
+            random.Random(seed).shuffle(expected)
+            assert probed == expected[:1]
+            picks.update(probed)
+        assert picks == set(agent_ids)
+
+    def test_uncertified_probe_prints_its_witness_day(self, monkeypatch, capsys):
+        real = analysis.availability_deviation_report
+
+        def uncertified(instance, agent_id, **kwargs):
+            return replace(real(instance, agent_id, **kwargs), witness_day=1)
+
+        monkeypatch.setattr(analysis, "availability_deviation_report", uncertified)
+        assert run(["verify", TIGHT_M1, "--deviation-agents", "1"]) == cli.EXIT_CERTIFICATE
+        out = capsys.readouterr().out
+        assert "[FAIL] no improving under-reports (1 agents probed)" in out
+        assert "witness day 1" in out
 
     def test_invalid_instance_exits_early(self, tmp_path, capsys):
         document = instance_to_document(tight_model1())

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rationd.data import (
     DataFormatError,
+    allocation_from_document,
+    allocation_to_document,
     GeneratorConfig,
     GroupSpec,
     SupplyModel,
@@ -265,3 +267,83 @@ class TestExportMetrics:
         export_metrics(compute_metrics(inst, alloc), str(path))
         day2 = [line for line in path.read_text().splitlines() if line.startswith("2,all")]
         assert day2 == ["2,all,4,3,0.25,1,1.25"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+DELETE = object()
+# One of each JSON type, and values past the edges of what the fields take.
+EDGE_VALUES = (None, True, False, 0, -1, 2.5, 10**400, float("nan"), float("inf"), "", "x", "1/0", [], {}, [1], {"k": 1})
+
+
+def _paths(document, prefix=()):
+    """Every path into a JSON document, the empty path (the root) first."""
+    yield prefix
+    if isinstance(document, dict):
+        for key, value in document.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(document, list):
+        for index, value in enumerate(document):
+            yield from _paths(value, prefix + (index,))
+
+
+def _replaced(document, path, value):
+    """A copy of ``document`` with the value at ``path`` replaced, or removed
+    when ``value`` is DELETE."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(document))
+    parent = copy
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return copy
+
+
+READERS = {
+    "instance": (instance_from_document, instance_to_document(tight_general())),
+    "allocation": (allocation_from_document, allocation_to_document(run_online(tight_general(), model2=True))),
+    "config": (config_from_document, config_to_document(GeneratorConfig(num_agents=5, num_days=2, num_hospitals=2))),
+}
+
+
+def _read_or_refuse(reader, document):
+    """Read ``document``; a DataFormatError is a refusal, any other exception
+    fails the test."""
+    try:
+        reader(document)
+    except DataFormatError:
+        pass
+
+
+class TestReaderFuzz:
+    """Whatever JSON arrives, a reader returns a value or raises
+    DataFormatError."""
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_every_value_replaced_by_every_edge_value(self, kind):
+        reader, valid = READERS[kind]
+        for path in _paths(valid):
+            for value in EDGE_VALUES + ((DELETE,) if path else ()):
+                _read_or_refuse(reader, _replaced(valid, path, value))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(document=JSON_VALUES)
+    def test_arbitrary_json(self, kind, document):
+        _read_or_refuse(READERS[kind][0], document)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_valid_document_with_one_value_changed(self, kind, data):
+        reader, valid = READERS[kind]
+        path = data.draw(st.sampled_from(list(_paths(valid))))
+        value = data.draw(JSON_VALUES | st.just(DELETE)) if path else data.draw(JSON_VALUES)
+        _read_or_refuse(reader, _replaced(valid, path, value))

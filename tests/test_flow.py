@@ -120,3 +120,81 @@ def test_big_integer_costs_are_exact():
     network = FlowNetwork(3, 0, 2, (Arc(0, 1, 1, 0), Arc(1, 2, 1, -huge - 7)))
     result = solve_profitable_flow(network)
     assert result.total_cost == -huge - 7
+
+
+def random_network_without_negative_cycles(rng: random.Random) -> FlowNetwork:
+    """Small random network with cycles, parallel arcs and mixed-sign costs.
+    Each cost is a non-negative reduced cost plus a node-potential
+    difference, so every cycle costs its reduced costs' sum, never less
+    than zero."""
+    nodes = rng.randint(2, 7)
+    potential = [rng.randint(-6, 6) for _ in range(nodes)]
+    arcs = []
+    for _ in range(rng.randint(1, 12)):
+        tail, head = rng.sample(range(nodes), 2)
+        if head == 0 or tail == nodes - 1:
+            continue
+        reduced = rng.randint(0, 4)
+        arcs.append(Arc(tail, head, rng.randint(0, 3), reduced + potential[tail] - potential[head]))
+    return FlowNetwork(nodes, 0, nodes - 1, tuple(arcs))
+
+
+def networkx_graph(nx, network: FlowNetwork):
+    """The network as a networkx DiGraph; arc i runs through its own middle
+    node ``num_nodes + i``, so parallel arcs stay apart."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(network.num_nodes + len(network.arcs)))
+    for i, arc in enumerate(network.arcs):
+        middle = network.num_nodes + i
+        graph.add_edge(arc.tail, middle, capacity=arc.capacity, weight=arc.cost)
+        graph.add_edge(middle, arc.head, capacity=arc.capacity, weight=0)
+    return graph
+
+
+def test_min_cost_agrees_with_networkx_on_random_networks():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1990)
+    profitable = 0
+    for _ in range(300):
+        network = random_network_without_negative_cycles(rng)
+        out_of_source = sum(a.capacity for a in network.arcs if a.tail == network.source)
+        for cap in (None, 0, 1, 2, 4):
+            result = solve_profitable_flow(network, flow_cap=cap)
+            check_result_invariants(network, result, cap)
+            # Send exactly `limit` units; those the network should not carry
+            # take a zero-cost bypass from source to sink.
+            limit = out_of_source if cap is None else cap
+            graph = networkx_graph(nx, network)
+            bypass = network.num_nodes + len(network.arcs)
+            graph.add_edge(network.source, bypass, capacity=limit, weight=0)
+            graph.add_edge(bypass, network.sink, capacity=limit, weight=0)
+            graph.nodes[network.source]["demand"] = -limit
+            graph.nodes[network.sink]["demand"] = limit
+            assert result.total_cost == nx.min_cost_flow_cost(graph)
+            profitable += result.total_cost < 0
+    assert profitable > 100
+
+
+def test_max_flow_min_cost_agrees_with_networkx_on_random_networks():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1991)
+    flowing = 0
+    for _ in range(300):
+        network = random_network_without_negative_cycles(rng)
+        # A bonus on every unit leaving the source that outweighs any cost
+        # difference makes the cheapest flow a maximum one.
+        bonus = 1 + sum(abs(a.cost) * a.capacity for a in network.arcs)
+        boosted = FlowNetwork(
+            network.num_nodes,
+            network.source,
+            network.sink,
+            tuple(Arc(a.tail, a.head, a.capacity, a.cost - bonus) if a.tail == network.source else a for a in network.arcs),
+        )
+        result = solve_profitable_flow(boosted)
+        check_result_invariants(boosted, result, None)
+        graph = networkx_graph(nx, network)
+        flows = nx.max_flow_min_cost(graph, network.source, network.sink)
+        assert result.total_flow == nx.maximum_flow_value(graph, network.source, network.sink)
+        assert result.total_cost + bonus * result.total_flow == nx.cost_of_flow(graph, flows)
+        flowing += result.total_flow > 0
+    assert flowing > 100
