@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +27,15 @@ SCHEMA_VERSION = 1
 
 class DataFormatError(ValueError):
     """A document failed to parse; the message names the offending field."""
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message. An integer with more digits
+    than Python prints (4,300 by default) is described instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +64,38 @@ def format_rational(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+# Largest decimal exponent a rational string may carry. Fraction("1e1000000000")
+# would build a billion-digit power of ten; this bound matches Python's
+# default limit on the digits of an integer read from a string.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
+
+
 def parse_rational(text: object, where: str) -> Fraction:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise DataFormatError(f"{where}: expected a rational encoded as a string, got {text!r}")
+        raise DataFormatError(f"{where}: expected a rational encoded as a string, got {_shown(text)}")
     try:
-        return Fraction(str(text))
+        text = str(text)
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DataFormatError(f"{where}: cannot parse rational {text!r}: {exc}") from None
+        raise DataFormatError(f"{where}: cannot parse rational {_shown(text)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Instance documents
+
+
+def _name(value: Any, where: str) -> str:
+    """An id or label as text (a JSON number is read by its digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DataFormatError(f"{where}: {_shown(value)} cannot be used as a name") from None
 
 
 def _expect(document: Mapping[str, Any], key: str, where: str) -> Any:
@@ -76,7 +107,7 @@ def _expect(document: Mapping[str, Any], key: str, where: str) -> Any:
 def _check_version(document: Mapping[str, Any], where: str) -> None:
     version = _expect(document, "schema_version", where)
     if version != SCHEMA_VERSION:
-        raise DataFormatError(f"{where}: schema_version {version!r} is not supported (expected {SCHEMA_VERSION})")
+        raise DataFormatError(f"{where}: schema_version {_shown(version)} is not supported (expected {SCHEMA_VERSION})")
 
 
 def instance_to_document(instance: Instance, provenance: Mapping[str, Any] | None = None) -> dict[str, Any]:
@@ -115,7 +146,7 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
         raise DataFormatError(f"{where}: expected an object")
     _check_version(document, where)
     if _expect(document, "kind", where) != "instance":
-        raise DataFormatError(f"{where}: kind is {document['kind']!r}, expected 'instance'")
+        raise DataFormatError(f"{where}: kind is {_shown(document['kind'])}, expected 'instance'")
     num_days = _expect(document, "num_days", where)
     if not isinstance(num_days, int):
         raise DataFormatError(f"{where}.num_days: expected an integer")
@@ -138,7 +169,7 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
         overall = raw.get("overall_quota")
         if overall is not None and not isinstance(overall, int):
             raise DataFormatError(f"{spot}.overall_quota: expected an integer or null")
-        categories.append(Category(str(_expect(raw, "id", spot)), tuple(quota), overall))
+        categories.append(Category(_name(_expect(raw, "id", spot), f"{spot}.id"), tuple(quota), overall))
 
     agents: list[Agent] = []
     raw_agents = _expect(document, "agents", where)
@@ -159,10 +190,10 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
             raise DataFormatError(f"{spot}.group: expected a string or null")
         agents.append(
             Agent(
-                id=str(_expect(raw, "id", spot)),
+                id=_name(_expect(raw, "id", spot), f"{spot}.id"),
                 priority=parse_rational(_expect(raw, "priority", spot), f"{spot}.priority"),
                 availability=tuple(bool(bit) for bit in bits),
-                eligible=frozenset(str(e) for e in eligible),
+                eligible=frozenset(_name(e, f"{spot}.eligible") for e in eligible),
                 group=group,
             )
         )
@@ -184,8 +215,10 @@ def write_instance(instance: Instance, path: str, provenance: Mapping[str, Any] 
 
 
 def _read_json(path: str) -> Any:
-    """The JSON document in ``path``; text that is not UTF-8 or not JSON
-    raises :class:`DataFormatError`."""
+    """The JSON document in ``path``; text that is not UTF-8 or not JSON, an
+    integer longer than Python reads (4,300 digits by default) and nesting
+    deeper than the interpreter's recursion limit raise
+    :class:`DataFormatError`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -193,6 +226,11 @@ def _read_json(path: str) -> Any:
             raise DataFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+        except ValueError as exc:
+            # Python's advice on raising the limit is cut: it names an API.
+            raise DataFormatError(f"{path}: {str(exc).split(';')[0]}") from None
+        except RecursionError:
+            raise DataFormatError(f"{path}: nested too deeply") from None
 
 
 def read_instance(path: str) -> Instance:
@@ -215,7 +253,7 @@ def allocation_from_document(document: Mapping[str, Any], where: str = "allocati
         raise DataFormatError(f"{where}: expected an object")
     _check_version(document, where)
     if _expect(document, "kind", where) != "allocation":
-        raise DataFormatError(f"{where}: kind is {document['kind']!r}, expected 'allocation'")
+        raise DataFormatError(f"{where}: kind is {_shown(document['kind'])}, expected 'allocation'")
     raw = _expect(document, "assignment", where)
     if not isinstance(raw, Mapping):
         raise DataFormatError(f"{where}.assignment: expected an object")
@@ -230,7 +268,7 @@ def allocation_from_document(document: Mapping[str, Any], where: str = "allocati
         day = _expect(slot, "day", spot)
         if not isinstance(day, int):
             raise DataFormatError(f"{spot}.day: expected an integer")
-        assignment[str(agent_id)] = (str(_expect(slot, "category", spot)), day)
+        assignment[str(agent_id)] = (_name(_expect(slot, "category", spot), f"{spot}.category"), day)
     return Allocation(assignment)
 
 
@@ -426,18 +464,18 @@ def config_to_document(config: GeneratorConfig) -> dict[str, Any]:
 def _integer(value: Any, where: str) -> int:
     """A JSON integer; booleans and non-integral numbers are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DataFormatError(f"{where}: expected int, got {value!r}")
+        raise DataFormatError(f"{where}: expected int, got {_shown(value)}")
     return value
 
 
 def _real(value: Any, where: str) -> float:
     """A JSON number (not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(f"{where}: expected float, got {value!r}")
+        raise DataFormatError(f"{where}: expected float, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise DataFormatError(f"{where}: {value!r} is out of float range") from None
+        raise DataFormatError(f"{where}: {_shown(value)} is out of float range") from None
 
 
 def config_from_document(document: Mapping[str, Any], where: str = "config") -> GeneratorConfig:
@@ -453,7 +491,7 @@ def config_from_document(document: Mapping[str, Any], where: str = "config") -> 
             raise DataFormatError(f"{spot}: expected an object")
         groups.append(
             GroupSpec(
-                label=str(_expect(raw, "label", spot)),
+                label=_name(_expect(raw, "label", spot), f"{spot}.label"),
                 weight=_real(_expect(raw, "weight", spot), f"{spot}.weight"),
                 priority=parse_rational(_expect(raw, "priority", spot), f"{spot}.priority"),
             )

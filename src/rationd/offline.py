@@ -3,11 +3,17 @@ search oracle for small instances (the only exact route once overall quotas
 are in play).
 
 The flow reduction routes one unit per matched agent through
-source -> day -> (category, day) slot -> agent -> sink, with assignment
-arcs priced at the negated integer-scaled utility. Minimizing cost over
-profitable flows is then exactly maximizing total utility, and because every
-augmenting path is profitable the optimum is simultaneously of maximum
-cardinality (no agent can be added to it).
+source -> day -> (category, day) slot -> hub -> agent -> sink. A hub
+``(E, d)`` stands for the agents available on day ``d`` whose open eligible
+categories that day are exactly the set ``E``; it is fed by the slots of
+``E``'s categories and has one arc to each of its agents, priced at the
+negated integer-scaled utility. So an available agent-day costs one arc,
+not one per eligible category, and since every agent of a hub is eligible
+for every category feeding it, the units arriving at a hub can be seated on
+its matched agents in any order. Minimizing cost over profitable flows is
+then exactly maximizing total utility, and because every augmenting path is
+profitable the optimum is simultaneously of maximum cardinality (no agent
+can be added to it).
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .flow import Arc, FlowNetwork, solve_profitable_flow
-from .model import Allocation, Instance, utility_of, validate_instance
+from .model import Allocation, Instance, Slot, utility_of, validate_instance
 
 log = logging.getLogger(__name__)
 
@@ -43,15 +49,39 @@ class TieBreakOrder:
 
 
 @dataclass(frozen=True)
+class Hub:
+    """The arcs of one hub ``(E, d)``: ``feeds`` are its (arc index,
+    category id) arcs from the slots of ``E``'s categories, ``members`` its
+    (arc index, agent id) arcs to its agents, both in instance order."""
+
+    day: int
+    feeds: tuple[tuple[int, str], ...]
+    members: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True)
 class ReductionMap:
     """Correspondence between flow arcs/nodes and the instance they encode:
-    each agent's node, each assignment arc's (agent, category, day), and the
-    cost scaling."""
+    each agent's node (in instance order), each hub's arcs, and the cost
+    scaling."""
 
     agent_nodes: Mapping[str, int]
-    assignment_arcs: Mapping[int, tuple[str, str, int]]
+    hubs: tuple[Hub, ...]
     scale: int
     tiebreak_base: int
+
+    def allocation(self, flows: Sequence[int]) -> Allocation:
+        """The allocation a solved flow encodes: each hub hands the units on
+        its feed arcs, in order, to its matched agents in instance order."""
+        assignment: dict[str, Slot] = dict.fromkeys(self.agent_nodes)
+        for hub in self.hubs:
+            units = [category for arc, category in hub.feeds for _ in range(flows[arc])]
+            matched = [agent_id for arc, agent_id in hub.members if flows[arc]]
+            for agent_id, category in zip(matched, units, strict=True):
+                if assignment[agent_id] is not None:
+                    raise AssertionError(f"flow matched agent {agent_id!r} twice")
+                assignment[agent_id] = (category, hub.day)
+        return Allocation(assignment)
 
     def utility_of_cost(self, total_cost: int) -> Fraction:
         """Recover the exact utility encoded by a solved flow's total cost."""
@@ -68,11 +98,19 @@ def _require_well_formed(instance: Instance) -> None:
 def build_model1_network(
     instance: Instance, tie_break: TieBreakOrder | None = None
 ) -> tuple[FlowNetwork, ReductionMap]:
-    """Build the day/slot/agent network whose min-cost profitable flow is an
-    optimal allocation.
+    """Build the day/slot/hub/agent network whose min-cost profitable flow
+    is an optimal allocation.
 
-    With ``tie_break`` given, assignment arcs carry composite costs
-    ``utility * B + bonus`` with ``bonus = 2**(n - rank)`` and ``B = 2**n``,
+    Its arcs: ``source -> day`` with the day's supply; ``day -> slot(c, d)``
+    for each slot whose quota (and day supply) is above 0, with that quota;
+    ``slot(c, d) -> hub(E, d)`` for each category ``c`` of ``E``; ``hub(E,
+    d) -> agent`` (capacity 1, cost ``-utility``) for each agent available
+    on day ``d`` whose open eligible categories are ``E``; ``agent -> sink``
+    (capacity 1). :meth:`ReductionMap.allocation` reads an allocation off a
+    solved flow.
+
+    With ``tie_break`` given, hub-to-agent arcs carry composite costs
+    ``utility * B + bonus`` with ``bonus = 2**(n - 1 - rank)`` and ``B = 2**n``,
     so cost order decides utility first and then lexicographically prefers
     serving higher-precedence agents.
     """
@@ -86,27 +124,45 @@ def build_model1_network(
     for day in days:
         day_nodes[day] = node
         node += 1
-    slot_nodes = {}
-    for category in instance.categories:
-        for day in days:
-            slot_nodes[(category.id, day)] = node
-            node += 1
+    # Open categories per day, in instance order, with their slot nodes and
+    # quotas.
+    open_slots: dict[int, dict[str, tuple[int, int]]] = {}
+    for day in days:
+        open_slots[day] = {}
+        if instance.daily_supply[day - 1] == 0:
+            continue
+        for category in instance.categories:
+            quota = category.daily_quota[day - 1]
+            if quota > 0:
+                open_slots[day][category.id] = (node, quota)
+                node += 1
     agent_nodes = {}
     for agent in instance.agents:
         agent_nodes[agent.id] = node
         node += 1
-    sink = node
-    node += 1
 
-    discount_powers = [Fraction(1)] * (instance.num_days + 1)
-    for j in range(1, instance.num_days + 1):
+    # Members of each hub, keyed by (E, day), in day order and then in order
+    # of the hub's first agent.
+    hub_members: dict[tuple[frozenset[str], int], list[str]] = {}
+    for day in days:
+        open_here = frozenset(open_slots[day])
+        if not open_here:
+            continue
+        for agent in instance.agents:
+            if agent.availability[day - 1]:
+                shared = agent.eligible & open_here
+                if shared:
+                    hub_members.setdefault((shared, day), []).append(agent.id)
+
+    discount_powers = [Fraction(1)] * instance.num_days
+    for j in range(1, instance.num_days):
         discount_powers[j] = discount_powers[j - 1] * instance.discount
-
-    utilities: dict[tuple[str, int], Fraction] = {}
-    for agent in instance.agents:
-        for day in days:
-            if agent.availability[day - 1] and agent.eligible:
-                utilities[(agent.id, day)] = agent.priority * discount_powers[day - 1]
+    priorities = {agent.id: agent.priority for agent in instance.agents}
+    utilities = {
+        (agent_id, day): priorities[agent_id] * discount_powers[day - 1]
+        for (_shared, day), members in hub_members.items()
+        for agent_id in members
+    }
     scale = math.lcm(*(u.denominator for u in utilities.values())) if utilities else 1
 
     if tie_break is not None:
@@ -120,46 +176,39 @@ def build_model1_network(
         bonus = {}
 
     arcs: list[Arc] = []
-    assignment_arcs: dict[int, tuple[str, str, int]] = {}
-
     for day in days:
         supply = instance.daily_supply[day - 1]
         if supply > 0:
             arcs.append(Arc(source, day_nodes[day], supply, 0))
-    for category in instance.categories:
-        for day in days:
-            quota = category.daily_quota[day - 1]
-            if quota > 0:
-                arcs.append(Arc(day_nodes[day], slot_nodes[(category.id, day)], quota, 0))
-    for agent in instance.agents:
-        for day in days:
-            if not agent.availability[day - 1]:
-                continue
-            utility = utilities.get((agent.id, day))
-            if utility is None:
-                continue
-            scaled = utility.numerator * (scale // utility.denominator)
-            cost = -(scaled * base + bonus.get(agent.id, 0))
-            for category in instance.categories:
-                if category.id in agent.eligible:
-                    assignment_arcs[len(arcs)] = (agent.id, category.id, day)
-                    arcs.append(Arc(slot_nodes[(category.id, day)], agent_nodes[agent.id], 1, cost))
+    for day in days:
+        for slot, quota in open_slots[day].values():
+            arcs.append(Arc(day_nodes[day], slot, quota, 0))
+
+    hubs = []
+    for (shared, day), members in hub_members.items():
+        hub_node = node
+        node += 1
+        feeds = []
+        for category_id, (slot, quota) in open_slots[day].items():
+            if category_id in shared:
+                feeds.append((len(arcs), category_id))
+                arcs.append(Arc(slot, hub_node, quota, 0))
+        member_arcs = []
+        for agent_id in members:
+            utility = utilities[(agent_id, day)]
+            cost = -(utility.numerator * (scale // utility.denominator) * base + bonus.get(agent_id, 0))
+            member_arcs.append((len(arcs), agent_id))
+            arcs.append(Arc(hub_node, agent_nodes[agent_id], 1, cost))
+        hubs.append(Hub(day, tuple(feeds), tuple(member_arcs)))
+
+    sink = node
+    node += 1
     for agent in instance.agents:
         arcs.append(Arc(agent_nodes[agent.id], sink, 1, 0))
 
     network = FlowNetwork(node, source, sink, tuple(arcs))
-    rmap = ReductionMap(agent_nodes=agent_nodes, assignment_arcs=assignment_arcs, scale=scale, tiebreak_base=base)
+    rmap = ReductionMap(agent_nodes=agent_nodes, hubs=tuple(hubs), scale=scale, tiebreak_base=base)
     return network, rmap
-
-
-def _extract_allocation(instance: Instance, flows: tuple[int, ...], rmap: ReductionMap) -> Allocation:
-    assignment: dict[str, tuple[str, int] | None] = {a.id: None for a in instance.agents}
-    for arc_idx, (agent_id, cat_id, day) in rmap.assignment_arcs.items():
-        if flows[arc_idx] == 1:
-            if assignment[agent_id] is not None:
-                raise AssertionError(f"flow matched agent {agent_id!r} twice")
-            assignment[agent_id] = (cat_id, day)
-    return Allocation(assignment)
 
 
 def _reject_overall_quotas(instance: Instance) -> None:
@@ -183,7 +232,7 @@ def solve_offline_model1(instance: Instance) -> Allocation:
     log.debug(
         "offline flow: %d nodes, %d arcs, %d matched", network.num_nodes, len(network.arcs), result.total_flow
     )
-    return _extract_allocation(instance, result.arc_flows, rmap)
+    return rmap.allocation(result.arc_flows)
 
 
 def solve_offline_tiebroken(instance: Instance, order: TieBreakOrder) -> Allocation:
@@ -193,7 +242,7 @@ def solve_offline_tiebroken(instance: Instance, order: TieBreakOrder) -> Allocat
     _reject_overall_quotas(instance)
     network, rmap = build_model1_network(instance, tie_break=order)
     result = solve_profitable_flow(network)
-    return _extract_allocation(instance, result.arc_flows, rmap)
+    return rmap.allocation(result.arc_flows)
 
 
 def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1_000_000) -> Allocation:

@@ -1,20 +1,23 @@
 """Independent reference computations the tests pin expected values against.
 
 Everything here is brute force on purpose: no pruning, no shared code with
-the package's solvers beyond the data types.
+the package's solvers beyond the data types and, for the flat offline
+reduction, the flow engine (which tests/test_flow.py checks against
+networkx).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
 
 from rationd.analysis import DeviationOutcome
-from rationd.flow import FlowNetwork
-from rationd.model import Instance
+from rationd.flow import Arc, FlowNetwork, solve_profitable_flow
+from rationd.model import Allocation, Instance
 from rationd.online import DayGraph, TieBreak, run_online
 
 
@@ -86,6 +89,53 @@ def min_cost_by_enumeration(network: FlowNetwork, flow_cap: int | None) -> int:
         if cost < best:
             best = cost
     return best
+
+
+def flat_offline_allocation(instance: Instance, order: tuple[str, ...] | None = None) -> Allocation:
+    """The model-1 offline optimum on the flat reduction: an arc from every
+    (category, day) slot to every eligible agent available that day, priced
+    at the negated integer-scaled utility, plus 2**(n - 1 - rank) when a
+    tie-break ``order`` is given (utility scaled by 2**n first)."""
+    days = range(1, instance.num_days + 1)
+    n = len(instance.agents)
+    source, sink = 0, 1
+    day_node = {day: 1 + day for day in days}
+    slot_node = {
+        (category.id, day): 2 + instance.num_days + k * instance.num_days + day - 1
+        for k, category in enumerate(instance.categories)
+        for day in days
+    }
+    agent_node = {agent.id: 2 + instance.num_days + len(slot_node) + k for k, agent in enumerate(instance.agents)}
+
+    utilities = {
+        (agent.id, day): agent.priority * instance.discount ** (day - 1)
+        for agent in instance.agents
+        for day in days
+        if agent.availability[day - 1]
+    }
+    scale = math.lcm(*(u.denominator for u in utilities.values())) if utilities else 1
+    base = 2**n if order is not None else 1
+    bonus = {agent_id: 2 ** (n - 1 - rank) for rank, agent_id in enumerate(order)} if order is not None else {}
+
+    arcs = [Arc(source, day_node[day], instance.daily_supply[day - 1], 0) for day in days]
+    arcs += [Arc(day_node[day], slot_node[(c.id, day)], c.daily_quota[day - 1], 0) for c in instance.categories for day in days]
+    eligible = {agent.id: agent.eligible for agent in instance.agents}
+    assignment_arcs = {}
+    for (agent_id, day), utility in utilities.items():
+        cost = -(utility.numerator * (scale // utility.denominator) * base + bonus.get(agent_id, 0))
+        for category in instance.categories:
+            if category.id in eligible[agent_id]:
+                assignment_arcs[len(arcs)] = (agent_id, category.id, day)
+                arcs.append(Arc(slot_node[(category.id, day)], agent_node[agent_id], 1, cost))
+    arcs += [Arc(agent_node[agent.id], sink, 1, 0) for agent in instance.agents]
+
+    num_nodes = 2 + instance.num_days + len(slot_node) + n
+    flows = solve_profitable_flow(FlowNetwork(num_nodes, source, sink, tuple(arcs))).arc_flows
+    assignment: dict[str, tuple[str, int] | None] = {agent.id: None for agent in instance.agents}
+    for arc, (agent_id, category_id, day) in assignment_arcs.items():
+        if flows[arc]:
+            assignment[agent_id] = (category_id, day)
+    return Allocation(assignment)
 
 
 def best_day_matching(graph: DayGraph) -> tuple[Fraction, int]:

@@ -154,6 +154,22 @@ class TestSolve:
         assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
         assert "malformed input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('"num_days": 1, "daily_supply": [1], "discount": "1e1000000000"', "decimal exponent beyond"),
+            ('"discount": "0.5", "num_days": ' + "1" * 5000, "value has 5000 digits"),
+            ('"discount": "0.5", "num_days": ' + "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ],
+        ids=["huge-decimal-exponent", "integer-past-digit-limit", "deep-nesting"],
+    )
+    def test_oversized_values_are_malformed_input(self, tmp_path, capsys, text, where):
+        path = tmp_path / "instance.json"
+        path.write_text('{"schema_version": 1, "kind": "instance", ' + text + "}")
+        assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ") and where in err
+
     def test_explicit_tie_break_order(self, capsys):
         # Preferring a1 on the tight fixture reproduces the bad run.
         assert run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "a1,a2"]) == 0

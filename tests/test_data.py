@@ -276,7 +276,10 @@ JSON_VALUES = st.recursive(
 )
 DELETE = object()
 # One of each JSON type, and values past the edges of what the fields take.
-EDGE_VALUES = (None, True, False, 0, -1, 2.5, 10**400, float("nan"), float("inf"), "", "x", "1/0", [], {}, [1], {"k": 1})
+EDGE_VALUES = (
+    None, True, False, 0, -1, 2.5, 10**400, 10**4300, float("nan"), float("inf"),
+    "", "x", "1/0", "1e1000000000", [], {}, [1], {"k": 1},
+)
 
 
 def _paths(document, prefix=()):

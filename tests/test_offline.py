@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rationd.flow import solve_profitable_flow
+from rationd.data import GeneratorConfig, SupplyModel, generate
 from rationd.model import (
     Agent,
-    Allocation,
     Category,
     Instance,
     check_allocation,
@@ -23,7 +25,9 @@ from rationd.offline import (
 from rationd.analysis import wasted_slots
 
 from helpers import random_instance, tight_general, tight_model1
-from oracles import best_utility, iter_allocations, allocation_value
+from oracles import allocation_value, best_utility, flat_offline_allocation, iter_allocations
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 
 class TestNetworkShape:
@@ -37,8 +41,12 @@ class TestNetworkShape:
             daily_supply=(1, 1),
             discount=Fraction(19, 20),
         )
-        network, _ = build_model1_network(inst)
-        assert network.num_nodes == 1 + 2 + 6 + 3 + 1
+        network, rmap = build_model1_network(inst)
+        # Source, 2 days, 6 slots, 3 agents, one hub per agent-day, sink.
+        assert network.num_nodes == 1 + 2 + 6 + 3 + 6 + 1
+        assert len(rmap.hubs) == 6
+        # Supply, quota, slot->hub, hub->agent and agent->sink arcs.
+        assert len(network.arcs) == 2 + 6 + 6 + 6 + 3
 
     def test_agent_available_nowhere_has_no_incoming_arcs(self):
         inst = Instance(
@@ -55,7 +63,7 @@ class TestNetworkShape:
         isolated = rmap.agent_nodes["a1"]
         assert all(arc.head != isolated for arc in network.arcs)
 
-    def test_minimal_instance_has_four_arcs(self):
+    def test_minimal_instance_has_five_arcs(self):
         inst = Instance(
             agents=(Agent("a1", Fraction(1, 2), (True,), frozenset({"c1"})),),
             categories=(Category("c1", (1,)),),
@@ -64,17 +72,54 @@ class TestNetworkShape:
             discount=Fraction(1, 2),
         )
         network, _ = build_model1_network(inst)
-        assert len(network.arcs) == 4
+        assert len(network.arcs) == 5
+
+    def test_shared_eligibility_gives_one_hub_arc_per_available_agent_day(self):
+        rng = random.Random(5)
+        cats = ("c1", "c2", "c3")
+        agents = tuple(
+            Agent(f"a{k}", Fraction(1, 2), tuple(rng.random() < 0.6 for _ in range(4)), frozenset(cats))
+            for k in range(12)
+        )
+        inst = Instance(agents, tuple(Category(c, (2, 1, 3, 1)) for c in cats), 4, (3, 3, 3, 3), Fraction(1, 2))
+        network, rmap = build_model1_network(inst)
+        available = sum(sum(a.availability) for a in agents)
+        open_days = sum(1 for day in range(4) if any(a.availability[day] for a in agents))
+        assert sum(len(hub.members) for hub in rmap.hubs) == available
+        assert len(rmap.hubs) == open_days
+        # Supply (4 days), quota (3 x 4 slots), 3 feeds per hub, hub->agent, agent->sink.
+        assert len(network.arcs) == 4 + 12 + 3 * open_days + available + 12
+
+    def test_closed_slots_get_no_arcs(self):
+        # c1 is closed on day 1 and day 2 has no supply: only slot (c2, 1) is open.
+        inst = Instance(
+            agents=tuple(Agent(f"a{i}", Fraction(1, 2), (True, True), frozenset({"c1", "c2"})) for i in (1, 2)),
+            categories=(Category("c1", (0, 1)), Category("c2", (1, 1))),
+            num_days=2,
+            daily_supply=(1, 0),
+            discount=Fraction(1, 2),
+        )
+        network, rmap = build_model1_network(inst)
+        assert [(hub.day, [c for _arc, c in hub.feeds]) for hub in rmap.hubs] == [(1, ["c2"])]
+        # Supply (day 1), quota (c2, 1), one feed, two hub->agent, two agent->sink.
+        assert len(network.arcs) == 1 + 1 + 1 + 2 + 2
 
     def test_assignment_arcs_respect_eligibility_and_availability(self):
         rng = random.Random(11)
         for _ in range(20):
             inst = random_instance(rng)
-            _, rmap = build_model1_network(inst)
+            network, rmap = build_model1_network(inst)
             agents = inst.agent_map()
-            for agent_id, cat_id, day in rmap.assignment_arcs.values():
-                assert agents[agent_id].availability[day - 1]
-                assert cat_id in agents[agent_id].eligible
+            quotas = {c.id: c.daily_quota for c in inst.categories}
+            for hub in rmap.hubs:
+                categories = {c for _arc, c in hub.feeds}
+                assert all(quotas[c][hub.day - 1] > 0 for c in categories)
+                for arc, agent_id in hub.members:
+                    assert network.arcs[arc].head == rmap.agent_nodes[agent_id]
+                    assert agents[agent_id].availability[hub.day - 1]
+                    assert categories == agents[agent_id].eligible & {
+                        c for c in quotas if quotas[c][hub.day - 1] > 0
+                    }
 
 
 class TestOfflineSolver:
@@ -119,13 +164,9 @@ class TestOfflineSolver:
             inst = random_instance(rng)
             network, rmap = build_model1_network(inst)
             result = solve_profitable_flow(network)
-            alloc_from_flow = {
-                agent: (cat, day)
-                for arc, (agent, cat, day) in rmap.assignment_arcs.items()
-                if result.arc_flows[arc] == 1
-            }
-            assignment = {a.id: alloc_from_flow.get(a.id) for a in inst.agents}
-            assert rmap.utility_of_cost(result.total_cost) == total_utility(inst, Allocation(assignment))
+            alloc = rmap.allocation(result.arc_flows)
+            assert check_allocation(inst, alloc).ok
+            assert rmap.utility_of_cost(result.total_cost) == total_utility(inst, alloc)
 
     def test_matches_enumeration_and_is_feasible_and_non_wasteful(self):
         rng = random.Random(99)
@@ -135,6 +176,52 @@ class TestOfflineSolver:
             assert check_allocation(inst, alloc).ok
             assert total_utility(inst, alloc) == best_utility(inst)
             assert wasted_slots(inst, alloc) == ()
+
+
+class TestAgainstFlatReduction:
+    """The hub network against the flat slot->agent network it replaces."""
+
+    def test_same_optimum_on_the_criterion_3_batch(self):
+        rng = random.Random(0xC3)
+        for _ in range(500):
+            inst = random_instance(rng, max_agents=6, max_days=3, max_cats=3, max_cap=2)
+            alloc = solve_offline_model1(inst)
+            assert check_allocation(inst, alloc).ok
+            assert total_utility(inst, alloc) == total_utility(inst, flat_offline_allocation(inst))
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_same_optimum_on_the_probe_instance_as_its_pin(self, seed):
+        # The benchmark's probe instance (perfbench/workloads.py, PROBE_CONFIG)
+        # and its held-out seed; pins.json holds their networkx optima.
+        config = GeneratorConfig(
+            num_agents=100,
+            num_days=4,
+            num_hospitals=4,
+            availability_density=0.5,
+            supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
+            seed=seed,
+        )
+        inst = generate(config)
+        pin = Fraction(json.loads(PINS.read_text())["probe"][str(seed)])
+        assert total_utility(inst, solve_offline_model1(inst)) == pin
+        assert total_utility(inst, flat_offline_allocation(inst)) == pin
+
+    def test_tiebroken_matched_set_equals_flat_with_ties_forced(self):
+        rng = random.Random(0x71E)
+        for _ in range(150):
+            inst = random_instance(rng, max_agents=8, max_days=3, max_cats=3, max_cap=2)
+            priority = Fraction(rng.randint(1, 9), 10)
+            agents = tuple(
+                Agent(a.id, priority, a.availability, a.eligible, a.group) for a in inst.agents
+            )
+            inst = Instance(agents, inst.categories, inst.num_days, inst.daily_supply, inst.discount)
+            ids = [a.id for a in agents]
+            rng.shuffle(ids)
+            hub = solve_offline_tiebroken(inst, TieBreakOrder(tuple(ids)))
+            flat = flat_offline_allocation(inst, tuple(ids))
+            assert check_allocation(inst, hub).ok
+            assert {a for a, _c, _d in hub.matched()} == {a for a, _c, _d in flat.matched()}
+            assert total_utility(inst, hub) == total_utility(inst, flat)
 
 
 class TestTieBroken:
