@@ -41,8 +41,6 @@ from .online import (
 from .analysis import (
     Charge,
     ChargingReport,
-    Component,
-    Decomposition,
     DeviationReport,
     InfiniteRatioError,
     MetricsSeries,
@@ -50,7 +48,6 @@ from .analysis import (
     build_charging_report,
     competitive_ratio,
     compute_metrics,
-    decompose_symmetric_difference,
     day_matchings,
     max_matching_size,
     model1_bound,
@@ -79,11 +76,9 @@ __all__ = [
     "Category",
     "Charge",
     "ChargingReport",
-    "Component",
     "DataFormatError",
     "DayGraph",
     "DayTrace",
-    "Decomposition",
     "DeviationReport",
     "FlowNetwork",
     "FlowResult",
@@ -107,7 +102,6 @@ __all__ = [
     "competitive_ratio",
     "compute_metrics",
     "day_matchings",
-    "decompose_symmetric_difference",
     "generate",
     "load_fixture",
     "max_matching_size",

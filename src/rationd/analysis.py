@@ -6,8 +6,9 @@ are designed around:
 * competitive ratios of the online run against the offline optimum, and the
   worst-case bounds they must respect;
 * a charge certificate pairing every offline-matched agent with an
-  online-matched one at a bounded utility ratio, reconstructed per day from
-  the symmetric difference of the two day matchings;
+  online-matched one at a bounded utility ratio, found as one injective
+  matching of the offline-matched agents to same-day and, with overall
+  quotas, overflow slots of online-matched ones;
 * deviation probing: no agent can get matched strictly earlier by reporting
   a subset of their true availability. One walk per agent runs the day
   loop without it and matches each of its available days again with it
@@ -23,20 +24,17 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import Allocation, Instance, total_utility, utility_of
 from .offline import solve_exact_oracle, solve_offline_model1
 from . import online
 from .online import DayGraph, TieBreak, run_online
-
-ONLINE = "online"
-OFFLINE = "offline"
-
 
 class InfiniteRatioError(ArithmeticError):
     """Online utility is zero while the offline optimum is positive."""
@@ -92,136 +90,6 @@ def day_matchings(alloc: Allocation) -> dict[int, dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric-difference decomposition
-
-Edge = tuple[str, str, str]  # (agent, category, label)
-End = tuple[str, str]  # ("agent" | "category", vertex id)
-
-
-@dataclass(frozen=True)
-class Component:
-    """One alternating piece of a symmetric difference.
-
-    ``edges`` follow the walk order; labels alternate. ``ends`` gives the
-    two exposed vertices for paths and is ``None`` for cycles.
-    """
-
-    kind: str  # "path" | "cycle"
-    edges: tuple[Edge, ...]
-    ends: tuple[End, End] | None
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    components: tuple[Component, ...]
-
-    def all_edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for component in self.components:
-            out.update(component.edges)
-        return out
-
-
-def decompose_symmetric_difference(
-    day_online: Mapping[str, str], day_offline: Mapping[str, str]
-) -> Decomposition:
-    """Decompose the symmetric difference of two one-day matchings into
-    alternating paths and even cycles.
-
-    Inputs map each matched agent to its category (one entry per agent per
-    side, matching the day-graph construction). Edges present on both sides
-    cancel and appear in no component.
-    """
-    online_edges = {(a, c) for a, c in day_online.items()}
-    offline_edges = {(a, c) for a, c in day_offline.items()}
-    only_online = online_edges - offline_edges
-    only_offline = offline_edges - online_edges
-
-    edges: list[Edge] = [(a, c, ONLINE) for a, c in sorted(only_online)]
-    edges += [(a, c, OFFLINE) for a, c in sorted(only_offline)]
-
-    # Agent junction: the two opposite-label edges of one agent.
-    by_agent: dict[str, dict[str, Edge]] = defaultdict(dict)
-    for edge in edges:
-        agent, _cat, label = edge
-        by_agent[agent][label] = edge
-
-    # Category junction: pair off opposite-label edges, index by index.
-    links: dict[Edge, dict[str, Edge]] = {edge: {} for edge in edges}
-    at_category: dict[str, dict[str, list[Edge]]] = defaultdict(lambda: {ONLINE: [], OFFLINE: []})
-    for edge in edges:
-        at_category[edge[1]][edge[2]].append(edge)
-    for cat_id in sorted(at_category):
-        online_side = sorted(at_category[cat_id][ONLINE])
-        offline_side = sorted(at_category[cat_id][OFFLINE])
-        for e_on, e_off in zip(online_side, offline_side):
-            links[e_on]["category"] = e_off
-            links[e_off]["category"] = e_on
-    for agent_id, pair in by_agent.items():
-        if len(pair) == 2:
-            links[pair[ONLINE]]["agent"] = pair[OFFLINE]
-            links[pair[OFFLINE]]["agent"] = pair[ONLINE]
-
-    def junction_between(a: Edge, b: Edge) -> str:
-        return "agent" if a[0] == b[0] and links[a].get("agent") == b else "category"
-
-    visited: set[Edge] = set()
-    components: list[Component] = []
-    for start in edges:
-        if start in visited:
-            continue
-        # Walk as far as possible through the "agent" junction first.
-        chain = [start]
-        seen_cycle = False
-        junction = "agent"
-        current = start
-        while True:
-            nxt = links[current].get(junction)
-            if nxt is None:
-                break
-            if nxt == start:
-                seen_cycle = True
-                break
-            chain.append(nxt)
-            current = nxt
-            junction = "category" if junction == "agent" else "agent"
-        if seen_cycle:
-            component = Component("cycle", tuple(chain), None)
-            visited.update(chain)
-            components.append(component)
-            continue
-        # ``current`` is one true end; rewalk from it to get path order.
-        first_junction = junction_between(chain[-1], chain[-2]) if len(chain) > 1 else None
-        ordered = [current]
-        junction = first_junction or "category"
-        # The free side of the end edge is the one we did NOT arrive through;
-        # for a singleton edge both sides are free and the walk is trivial.
-        while True:
-            nxt = links[ordered[-1]].get(junction)
-            if nxt is None:
-                break
-            ordered.append(nxt)
-            junction = "category" if junction == "agent" else "agent"
-        # Exposed vertices: the junction missing at each extreme.
-        head = ordered[0]
-        tail = ordered[-1]
-
-        def free_end(edge: Edge, neighbour: Edge) -> End:
-            used = junction_between(edge, neighbour)
-            return ("category", edge[1]) if used == "agent" else ("agent", edge[0])
-
-        if len(ordered) == 1:
-            ends = (("agent", head[0]), ("category", head[1]))
-        else:
-            ends = (free_end(head, ordered[1]), free_end(tail, ordered[-2]))
-        component = Component("path", tuple(ordered), ends)
-        visited.update(ordered)
-        components.append(component)
-
-    return Decomposition(tuple(components))
-
-
-# ---------------------------------------------------------------------------
 # Charging certificate
 
 SAME_DAY = "same_day"
@@ -247,6 +115,22 @@ class ChargingReport:
     kind, and factors respect 1 / discount / spread*discount. The exact
     identity ``sum(factor * online utility of target) == offline utility``
     is part of the certificate.
+
+    Why the charges exist. Agents the online run served on an earlier day
+    than offline (``type1_agents``) charge themselves at ``discount**gap``.
+    The other agents offline serves on day j were still waiting online on
+    day j and available then, so they are online candidates of that day.
+    The online day matching is the greedy basis of a truncated transversal
+    matroid over those candidates, and with daily quotas only the offline
+    agents form an independent set of the same matroid. A greedy basis
+    dominates every independent set by priority: it has an injection from
+    the set into itself that never lowers the priority. So each of them has
+    its own same-day target of at least its priority, at factor at most 1.
+    With overall quotas, an offline agent may sit in a category the online
+    run has used up by the end of day j; it then charges an agent served
+    online under that category on an earlier day, at factor at most
+    spread*discount. :func:`build_charging_report` finds all of these in one
+    matching, and the checks above are made again independently of it.
     """
 
     type1_agents: frozenset[str]
@@ -284,211 +168,119 @@ def build_charging_report(
     """Assign every offline-matched agent a unique online-matched target.
 
     Agents served earlier online than offline charge themselves with the
-    exact discount gap. The rest are charged day by day through the
-    symmetric-difference decomposition; offline-surplus paths fall back to
-    any free same-day target when the day's supply is saturated and, with
-    overall quotas, to an earlier agent of the exhausted category otherwise.
-    Failures are reported (with a witness day), never raised.
+    exact discount gap. Every other offline-matched agent is a charger, and
+    one injective matching gives each charger a slot of its own (see
+    :class:`ChargingReport` for why the slots suffice):
+
+    * ``(t, SAME_DAY)`` for each ``t`` matched online on the charger's
+      offline day with at least its priority, the charger itself first;
+    * with ``model2``, ``(t, OVERFLOW)`` for each ``t`` matched online on an
+      earlier day under the charger's offline category, once the online run
+      has used up that category's overall quota by the end of the
+      charger's day.
+
+    A charger left without a slot makes the report uncertified, with its
+    day as the witness. Failures are reported, never raised.
     """
     priorities = {a.id: a.priority for a in instance.agents}
-    categories = instance.category_map()
-    online_by_day = day_matchings(online_alloc)
-    offline_by_day = day_matchings(offline_alloc)
-    online_slot = {a: online_alloc.slot_of(a) for a in priorities}
-    offline_slot = {a: offline_alloc.slot_of(a) for a in priorities}
+    # Integer keys: every priority over a common denominator.
+    scale = math.lcm(*(p.denominator for p in priorities.values()))
+    key = {a: p.numerator * (scale // p.denominator) for a, p in priorities.items()}
 
-    type1 = frozenset(
-        a
-        for a in priorities
-        if online_slot[a] is not None
-        and offline_slot[a] is not None
-        and online_slot[a][1] < offline_slot[a][1]
-    )
-
-    charges: list[Charge] = []
-    for a in sorted(type1):
-        gap = offline_slot[a][1] - online_slot[a][1]
-        charges.append(Charge(a, a, instance.discount**gap, DELAYED_SELF))
-
-    # Online consumption per category and day, for quota-exhaustion checks
-    # and overflow targets.
+    online_by_day: dict[int, list[str]] = defaultdict(list)
     online_under_cat: dict[str, list[tuple[int, str]]] = defaultdict(list)
     for agent_id, cat_id, day in online_alloc.matched():
+        online_by_day[day].append(agent_id)
         online_under_cat[cat_id].append((day, agent_id))
-    for cat_id in online_under_cat:
-        online_under_cat[cat_id].sort()
 
-    overflow_chargers: list[tuple[int, str, str]] = []  # (day, agent, category)
+    charges: list[Charge] = []
+    chargers: list[tuple[int, str, str]] = []  # (offline day, agent, offline category)
+    for agent_id, cat_id, day in offline_alloc.matched():
+        online_day = online_alloc.day_of(agent_id)
+        if online_day is not None and online_day < day:
+            charges.append(Charge(agent_id, agent_id, instance.discount ** (day - online_day), DELAYED_SELF))
+        else:
+            chargers.append((day, agent_id, cat_id))
+    type1 = frozenset(charge.charger for charge in charges)
+    chargers.sort(key=lambda charger: (charger[0], -key[charger[1]]))
 
-    for day in range(1, instance.num_days + 1):
-        online_today = online_by_day.get(day, {})
-        offline_today_full = offline_by_day.get(day, {})
-        offline_today = {a: c for a, c in offline_today_full.items() if a not in type1}
-        if not offline_today:
-            continue
+    # Same-day slots by ascending priority, so a charger's options are a
+    # suffix; overflow slots by ascending day, so they are a prefix.
+    same_day: dict[int, tuple[list[int], list[tuple[str, str]]]] = {}
+    for day, agents in online_by_day.items():
+        agents.sort(key=key.__getitem__)
+        same_day[day] = ([key[t] for t in agents], [(t, SAME_DAY) for t in agents])
+    overflow: dict[str, tuple[int, list[int], list[tuple[str, str]]]] = {}
+    for category in instance.categories if model2 else ():
+        served = sorted(online_under_cat.get(category.id, ()))
+        if category.overall_quota is not None:
+            overflow[category.id] = (category.overall_quota, [d for d, _t in served], [(t, OVERFLOW) for _d, t in served])
 
-        same_day_taken: set[str] = set()
+    candidates: list[list[tuple[str, str]]] = []
+    for day, agent_id, cat_id in chargers:
+        keys, slots = same_day.get(day, ([], []))
+        options = [(agent_id, SAME_DAY)] if online_alloc.day_of(agent_id) == day else []
+        options += slots[bisect.bisect_left(keys, key[agent_id]) :]
+        if cat_id in overflow:
+            quota, days, served = overflow[cat_id]
+            if bisect.bisect_right(days, day) >= quota:
+                options += served[: bisect.bisect_left(days, day)]
+        candidates.append(options)
 
-        def charge_same_day(charger: str, target: str) -> None:
-            same_day_taken.add(target)
-            charges.append(Charge(charger, target, priorities[charger] / priorities[target], SAME_DAY))
-
-        # Agents matched identically on both sides cancel out of the
-        # decomposition; they self-charge at factor 1.
-        for a in sorted(offline_today):
-            if online_today.get(a) == offline_today[a]:
-                charge_same_day(a, a)
-
-        decomposition = decompose_symmetric_difference(online_today, offline_today)
-        pending_free: list[str] = []  # offline-surplus chargers needing any free target
-
-        for component in decomposition.components:
-            offline_agents = sorted({e[0] for e in component.edges if e[2] == OFFLINE})
-            if component.kind == "cycle":
-                for a in offline_agents:
-                    charge_same_day(a, a)
-                continue
-            assert component.ends is not None
-            (head_kind, head_id), (tail_kind, tail_id) = component.ends
-            end_kinds = sorted((head_kind, tail_kind))
-            if end_kinds == ["agent", "agent"]:
-                # Even path: the end edge's label says which side its agent
-                # belongs to; the offline-only endpoint charges the
-                # online-only one.
-                if component.edges[0][2] == OFFLINE:
-                    charger_end, target_end = head_id, tail_id
-                else:
-                    charger_end, target_end = tail_id, head_id
-                for a in offline_agents:
-                    charge_same_day(a, target_end if a == charger_end else a)
-                continue
-            if end_kinds == ["category", "category"]:
-                for a in offline_agents:
-                    charge_same_day(a, a)
-                continue
-            # Agent/category ends (odd path): both exposed edges carry the
-            # same label.
-            if component.edges[0][2] == ONLINE:
-                # Online-surplus path: every offline agent on it is matched
-                # both ways today.
-                for a in offline_agents:
-                    charge_same_day(a, a)
-                continue
-            # Offline-surplus path: one more offline edge than online edges.
-            if head_kind == "category":
-                cat_end, agent_end = head_id, tail_id
-                boundary_agent = component.edges[0][0]
-            else:
-                cat_end, agent_end = tail_id, head_id
-                boundary_agent = component.edges[-1][0]
-            online_at_cat = sum(1 for c in online_today.values() if c == cat_end)
-            day_cap = categories[cat_end].daily_quota[day - 1]
-            effective_cap = day_cap
-            overall = categories[cat_end].overall_quota
-            consumed_before = sum(1 for d, _a in online_under_cat.get(cat_end, ()) if d < day)
-            if model2 and overall is not None:
-                effective_cap = min(day_cap, overall - consumed_before)
-            if online_at_cat < effective_cap:
-                # The terminal category had room, so only a saturated day
-                # supply can explain the surplus; the endpoint may charge
-                # any free online agent of the day (chosen after the loop).
-                if len(online_today) != instance.daily_supply[day - 1]:
-                    return _report(
-                        type1,
-                        charges,
-                        day,
-                        f"offline-surplus path at category {cat_end!r} on day {day} with slack "
-                        "supply and slack capacity: the day matching was not maximal",
-                    )
-                for a in offline_agents:
-                    if a != agent_end:
-                        charge_same_day(a, a)
-                pending_free.append(agent_end)
-                continue
-            # Terminal category saturated. Feasibility of the offline side
-            # rules out the daily quota, so the overall quota must be
-            # exhausted by the online run on or before this day.
-            if not model2 or overall is None or consumed_before + online_at_cat != overall:
-                return _report(
-                    type1,
-                    charges,
-                    day,
-                    f"offline-surplus path at saturated category {cat_end!r} on day {day} "
-                    "without an exhausted overall quota",
-                )
-            # The agent beside the exhausted category redirects across days;
-            # the far endpoint takes its place today (they coincide on
-            # single-edge paths).
-            for a in offline_agents:
-                if a == boundary_agent:
-                    continue
-                charge_same_day(a, boundary_agent if a == agent_end else a)
-            overflow_chargers.append((day, boundary_agent, cat_end))
-
-        # Resolve "charge anyone free" surplus agents deterministically.
-        for charger in sorted(pending_free):
-            free = sorted(t for t in online_today if t not in same_day_taken)
-            if not free:
-                return _report(type1, charges, day, f"no free online target left for surplus agent {charger!r}")
-            charge_same_day(charger, free[0])
-
-    # Overflow charges: per category, match each charger to a distinct
-    # online agent served under that category on an earlier day.
-    by_category: dict[str, list[tuple[int, str]]] = defaultdict(list)
-    for day, agent_id, cat_id in overflow_chargers:
-        by_category[cat_id].append((day, agent_id))
-    for cat_id in sorted(by_category):
-        chargers = sorted(by_category[cat_id])
-        targets = online_under_cat.get(cat_id, [])
-        assignment = _match_overflow(chargers, targets)
-        if assignment is None:
-            worst = chargers[0][0]
-            return _report(
-                type1, charges, worst, f"cannot injectively assign overflow charges for category {cat_id!r}"
-            )
-        for (day, agent_id), (target_day, target_id) in assignment:
-            factor = (priorities[agent_id] / priorities[target_id]) * instance.discount ** (day - target_day)
-            charges.append(Charge(agent_id, target_id, factor, OVERFLOW))
-
+    for (day, agent_id, _cat), slot in zip(chargers, _inject(candidates)):
+        if slot is None:
+            return _report(type1, charges, day, f"no online target left for {agent_id!r}, offline-matched on day {day}")
+        target, kind = slot
+        factor = priorities[agent_id] / priorities[target]
+        if kind == OVERFLOW:
+            factor *= instance.discount ** (day - online_alloc.day_of(target))
+        charges.append(Charge(agent_id, target, factor, kind))
     return _certify(instance, online_alloc, offline_alloc, type1, charges, model2)
 
 
-def _match_overflow(
-    chargers: list[tuple[int, str]], targets: list[tuple[int, str]]
-) -> list[tuple[tuple[int, str], tuple[int, str]]] | None:
-    """Injectively map each (day, charger) to a strictly earlier (day, target).
+def _inject(candidates: Sequence[Sequence[Hashable]]) -> list[Hashable | None]:
+    """Give each charger a distinct slot from its candidate list, or None.
 
-    Augmenting paths are searched depth first with an explicit stack, so a
-    long chain of chargers displacing one another needs no recursion.
+    Chargers are seated in order. Each takes its first free candidate or,
+    when every candidate is held, the first augmenting path found depth
+    first, where each displaced charger again takes a free candidate when
+    it has one. The search keeps an explicit stack, so a long chain of
+    chargers displacing one another needs no recursion. A charger with no
+    path stays None and leaves the others seated as they were; it would
+    find none later either, so every charger is seated exactly when an
+    injection of all of them exists.
     """
-    taken: dict[int, int] = {}  # target index -> charger index
-    for start in range(len(chargers)):
-        banned: set[int] = set()
-        stack = [[start, 0]]  # [charger, next target index to try]
-        chosen: list[int] = []  # the target each frame below the top is trying
+    seat: list[Hashable | None] = [None] * len(candidates)
+    holder: dict[Hashable, int] = {}  # slot -> charger seated on it
+    for start in range(len(candidates)):
+        banned: set[Hashable] = set()
+        stack = [[start, -1]]  # [charger, last candidate tried; -1 before the free scan]
+        chosen: list[Hashable] = []  # the slot each frame below the top is trying
         while stack:
             frame = stack[-1]
-            ci, ti = frame
-            day = chargers[ci][0]
-            while ti < len(targets) and (ti in banned or targets[ti][0] >= day):
-                ti += 1
-            if ti == len(targets):
+            charger, i = frame
+            options = candidates[charger]
+            if i < 0:
+                free = next((slot for slot in options if slot not in holder), None)
+                if free is not None:
+                    chosen.append(free)
+                    for (mover, _i), slot in zip(stack, chosen):
+                        holder[slot] = mover
+                        seat[mover] = slot
+                    break
+            i += 1
+            while i < len(options) and options[i] in banned:
+                i += 1
+            if i == len(options):
                 stack.pop()
                 if chosen:
                     chosen.pop()
                 continue
-            frame[1] = ti + 1
-            banned.add(ti)
-            chosen.append(ti)
-            holder = taken.get(ti)
-            if holder is None:
-                for (mover, _next), target in zip(stack, chosen):
-                    taken[target] = mover
-                break
-            stack.append([holder, 0])
-        else:
-            return None
-    return [(chargers[ci], targets[ti]) for ti, ci in sorted(taken.items())]
+            frame[1] = i
+            banned.add(options[i])
+            chosen.append(options[i])
+            stack.append([holder[options[i]], -1])
+    return seat
 
 
 def _certify(
@@ -596,16 +388,8 @@ class DeviationReport:
         )
 
     @property
-    def improving(self) -> tuple[DeviationOutcome, ...]:
-        """Under-reports that end strictly before the truthful day. A report
-        ends on its earliest kept day and the truthful day is the earliest
-        kept day of all, so there are none; ``witness_day`` is None when
-        the kept days are certified."""
-        return ()
-
-    @property
     def strategyproof(self) -> bool:
-        return self.witness_day is None and not self.improving
+        return self.witness_day is None
 
 
 def availability_deviation_report(

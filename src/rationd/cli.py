@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -59,7 +60,20 @@ def _digest(instance: Instance) -> str:
 
 
 def _decimal(value: Fraction) -> str:
-    return f"{float(value):.6f}"
+    try:
+        return f"{float(value):.6f}"
+    except OverflowError:
+        return "beyond float range"
+
+
+def _exact(value: Fraction) -> str:
+    """``value`` as numerator/denominator; past the interpreter's digit
+    limit for turning an int into text, the approximate size of each part."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = [int(part.bit_length() * math.log10(2)) + 1 for part in (value.numerator, value.denominator)]
+        return "about {}-digit / {}-digit fraction, too long to print".format(*digits)
 
 
 def _print_summary(summary: RunSummary, exact: bool) -> None:
@@ -68,7 +82,7 @@ def _print_summary(summary: RunSummary, exact: bool) -> None:
     print(f"matched   : {summary.matched} / {summary.agents}")
     utility = _decimal(summary.utility)
     if exact:
-        utility += f" (exact {summary.utility})"
+        utility += f" (exact {_exact(summary.utility)})"
     print(f"utility   : {utility}")
     print(f"per-day   : {' '.join(str(n) for n in summary.per_day)}")
     print(f"wall-clock: {summary.seconds:.3f} s")
@@ -194,6 +208,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except OracleBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"cannot solve: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     offline_seconds = time.perf_counter() - started
 
     _print_summary(_summarize(instance, online_alloc, "online2" if model2 else "online1", online_seconds), args.exact)
@@ -210,8 +227,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ratio = Fraction(1) if alg == 0 else opt / alg
     efficiency = Fraction(1) if opt == 0 else alg / opt
     tight = " [tight]" if ratio == bound else ""
-    ratio_text = _decimal(ratio) + (f" (exact {ratio})" if args.exact else "")
-    bound_text = _decimal(bound) + (f" (exact {bound})" if args.exact else "")
+    ratio_text = _decimal(ratio) + (f" (exact {_exact(ratio)})" if args.exact else "")
+    bound_text = _decimal(bound) + (f" (exact {_exact(bound)})" if args.exact else "")
     print(f"optimal/online ratio : {ratio_text}{tight}")
     print(f"worst-case bound     : {bound_text}")
     print(f"empirical efficiency : {_decimal(efficiency)} (online/optimal)")
@@ -274,6 +291,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"[SKIP] charge certificate (budget exceeded: {exc})")
         skips += 1
         offline_alloc = None
+    except ValueError as exc:
+        print(f"cannot verify: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if offline_alloc is not None:
         report = analysis.build_charging_report(instance, online_alloc, offline_alloc, model2=model2)
         outcome(

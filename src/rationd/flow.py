@@ -20,14 +20,14 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NegativeCycleError(ValueError):
     """The network contains a negative-cost directed cycle."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
     capacity: int

@@ -218,27 +218,25 @@ def deviation_outcomes_by_rerun(
     return tuple(outcomes)
 
 
-def match_overflow_recursive(
-    chargers: list[tuple[int, str]], targets: list[tuple[int, str]]
-) -> list[tuple[tuple[int, str], tuple[int, str]]] | None:
-    """Injective map of each (day, charger) to a strictly earlier (day,
-    target), by recursive augmenting paths (one frame per charger on a
-    path), or None when there is none."""
-    taken: dict[int, tuple[int, tuple[int, str]]] = {}
+def injection_by_recursion(candidates: list[list[object]]) -> list[object | None]:
+    """A distinct slot for each charger from its candidate list, by recursive
+    augmenting paths (one frame per charger on a path), with None for the
+    chargers left out; the seated ones form a maximum injection."""
+    holder: dict[object, int] = {}
 
-    def augment(ci: int, banned: set[int]) -> bool:
-        day = chargers[ci][0]
-        for ti, target in enumerate(targets):
-            if ti in banned or target[0] >= day:
+    def augment(ci: int, banned: set[object]) -> bool:
+        for slot in candidates[ci]:
+            if slot in banned:
                 continue
-            banned.add(ti)
-            holder = taken.get(ti)
-            if holder is None or augment(holder[0], banned):
-                taken[ti] = (ci, target)
+            banned.add(slot)
+            if slot not in holder or augment(holder[slot], banned):
+                holder[slot] = ci
                 return True
         return False
 
-    for ci in range(len(chargers)):
-        if not augment(ci, set()):
-            return None
-    return [(chargers[ci], target) for _ti, (ci, target) in sorted(taken.items())]
+    seats: list[object | None] = [None] * len(candidates)
+    for ci in range(len(candidates)):
+        augment(ci, set())
+    for slot, ci in holder.items():
+        seats[ci] = slot
+    return seats

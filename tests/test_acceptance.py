@@ -136,7 +136,7 @@ def test_criterion_7_no_improving_underreport():
             inst = random_instance(rng, max_agents=5, max_days=5, max_cats=2, max_cap=2)
             for agent in inst.agents:
                 report = availability_deviation_report(inst, agent.id)
-                assert report.strategyproof, (agent.id, report.improving)
+                assert report.strategyproof, (agent.id, report.witness_day)
         assert time.perf_counter() - started < 120.0
 
 

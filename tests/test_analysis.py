@@ -13,20 +13,18 @@ from rationd.analysis import (
     DELAYED_SELF,
     OVERFLOW,
     SAME_DAY,
-    _match_overflow,
+    _inject,
     availability_deviation_report,
     build_charging_report,
     competitive_ratio,
     compute_metrics,
-    day_matchings,
-    decompose_symmetric_difference,
     max_matching_size,
     model1_bound,
     model2_bound,
 )
 
 from helpers import random_instance, tight_general, tight_model1
-from oracles import deviation_outcomes_by_rerun, match_overflow_recursive
+from oracles import deviation_outcomes_by_rerun, injection_by_recursion
 
 
 class TestCompetitiveRatio:
@@ -51,48 +49,6 @@ class TestCompetitiveRatio:
         assert ratio == 1 + Fraction(1, 2) + Fraction(2, 5) / Fraction(1, 5) * Fraction(1, 2)
         assert ratio == Fraction(5, 2)
         assert ratio == model2_bound(inst)
-
-
-class TestDecomposition:
-    def test_identical_matchings_disappear(self):
-        assert decompose_symmetric_difference({"a1": "c1"}, {"a1": "c1"}).components == ()
-
-    def test_two_categories_one_agent_is_a_path(self):
-        decomposition = decompose_symmetric_difference({"a1": "c1"}, {"a1": "c2"})
-        (component,) = decomposition.components
-        assert component.kind == "path"
-        assert len(component.edges) == 2
-        assert component.ends is not None
-        assert {kind for kind, _v in component.ends} == {"category"}
-
-    def test_swap_is_an_even_cycle(self):
-        decomposition = decompose_symmetric_difference(
-            {"a1": "c1", "a2": "c2"}, {"a1": "c2", "a2": "c1"}
-        )
-        (component,) = decomposition.components
-        assert component.kind == "cycle"
-        assert len(component.edges) == 4
-
-    def test_rebuilds_the_symmetric_difference_exactly(self):
-        rng = random.Random(13)
-        for _ in range(60):
-            inst = random_instance(rng)
-            online_days = day_matchings(run_online(inst))
-            offline_days = day_matchings(solve_offline_model1(inst))
-            for day in range(1, inst.num_days + 1):
-                left = online_days.get(day, {})
-                right = offline_days.get(day, {})
-                decomposition = decompose_symmetric_difference(left, right)
-                expected = {(a, c, "online") for a, c in left.items() if right.get(a) != c}
-                expected |= {(a, c, "offline") for a, c in right.items() if left.get(a) != c}
-                assert decomposition.all_edges() == expected
-                total = sum(len(c.edges) for c in decomposition.components)
-                assert total == len(expected)  # edge-disjoint cover
-                for component in decomposition.components:
-                    labels = [e[2] for e in component.edges]
-                    assert all(x != y for x, y in zip(labels, labels[1:]))  # alternating
-                    if component.kind == "cycle":
-                        assert len(component.edges) % 2 == 0
 
 
 class TestChargingReport:
@@ -168,7 +124,62 @@ class TestChargingReport:
         assert report.failure_day is not None
 
 
+    def test_a_day_matching_that_is_not_max_weight_is_rejected(self):
+        # On day 2 the online side keeps "lo" while offline serves "hi",
+        # of higher priority: "hi" has no same-day target of its priority.
+        inst = Instance(
+            agents=(
+                Agent("hi", Fraction(1, 2), (False, True), frozenset({"c1"})),
+                Agent("lo", Fraction(1, 5), (False, True), frozenset({"c1"})),
+            ),
+            categories=(Category("c1", (1, 1)),),
+            num_days=2,
+            daily_supply=(1, 1),
+            discount=Fraction(1, 2),
+        )
+        offline_alloc = Allocation({"hi": ("c1", 2), "lo": None})
+        assert build_charging_report(inst, run_online(inst), offline_alloc).bound_certified
+        report = build_charging_report(inst, Allocation({"hi": None, "lo": ("c1", 2)}), offline_alloc)
+        assert not report.bound_certified
+        assert report.failure_day == 2
+        assert "'hi'" in report.failure_reason
+
+    @pytest.mark.parametrize(
+        "overall, online_z, certified",
+        [(1, None, True), (2, None, False), (2, ("c1", 3), False)],
+        ids=["used-up", "not-used-up", "used-up-after-its-day"],
+    )
+    def test_overflow_needs_the_overall_quota_used_up(self, overall, online_z, certified):
+        # Online serves x on day 1 (and z on day 3 when given); offline
+        # serves y on day 2. y may overflow onto x only when c1's overall
+        # quota is used up by the end of day 2.
+        inst = Instance(
+            agents=(
+                Agent("x", Fraction(1, 5), (True, False, False), frozenset({"c1"})),
+                Agent("y", Fraction(2, 5), (False, True, False), frozenset({"c1"})),
+                Agent("z", Fraction(1, 5), (False, False, True), frozenset({"c1"})),
+            ),
+            categories=(Category("c1", (1, 1, 1), overall_quota=overall),),
+            num_days=3,
+            daily_supply=(1, 1, 1),
+            discount=Fraction(3, 4),
+        )
+        online_alloc = Allocation({"x": ("c1", 1), "y": None, "z": online_z})
+        offline_alloc = Allocation({"x": None, "y": ("c1", 2), "z": None})
+        report = build_charging_report(inst, online_alloc, offline_alloc, model2=True)
+        assert report.bound_certified == certified
+        if certified:
+            (charge,) = report.charges
+            assert (charge.charger, charge.target, charge.kind) == ("y", "x", OVERFLOW)
+            assert charge.factor == Fraction(2, 5) / Fraction(1, 5) * Fraction(3, 4)
+        else:
+            assert report.failure_day == 2
+            assert "'y'" in report.failure_reason
+
+
 class TestMatchOverflow:
+    """The charge injector ``_inject``: one distinct slot per charger."""
+
     def test_agrees_with_the_recursive_search_on_random_cases(self):
         rng = random.Random(2718)
         found = missing = 0
@@ -176,31 +187,38 @@ class TestMatchOverflow:
             chargers = [(rng.randint(1, 6), f"c{i}") for i in range(rng.randint(0, 6))]
             targets = [(rng.randint(1, 6), f"t{i}") for i in range(rng.randint(0, 6))]
             rng.shuffle(chargers)
-            mapping = _match_overflow(chargers, targets)
-            assert (mapping is None) == (match_overflow_recursive(chargers, targets) is None)
-            if mapping is None:
+            # Each charger may take a strictly earlier target; some list one
+            # twice, as a charger offered itself first does.
+            candidates = []
+            for day, _name in chargers:
+                options = [t for t in targets if t[0] < day]
+                rng.shuffle(options)
+                if options and rng.random() < 0.3:
+                    options.append(options[0])
+                candidates.append(options)
+            seats = _inject(candidates)
+            assert seats.count(None) == injection_by_recursion(candidates).count(None)
+            seated = [slot for slot in seats if slot is not None]
+            assert len(set(seated)) == len(seated)
+            assert all(slot is None or slot in options for slot, options in zip(seats, candidates))
+            if None in seats:
                 missing += 1
-                continue
-            found += 1
-            assert sorted(charger for charger, _target in mapping) == sorted(chargers)
-            assert len({target for _charger, target in mapping}) == len(mapping)
-            assert all(target in targets and target[0] < charger[0] for charger, target in mapping)
+            else:
+                found += 1
         assert found > 100 and missing > 100
 
     def test_a_chain_of_3000_displaced_chargers_needs_no_recursion(self):
-        # Targets on days n..1; chargers c_n..c_2 (c_j on day j + 1) each
-        # take t_j outright, leaving t_1. The last charger x can only get in
-        # by shifting every c_j one target down, a path through all of them.
+        # Chargers c_n..c_2 may take t_j or t_(j-1) and each takes t_j
+        # outright, leaving t_1. The last charger x may take only t_n, so it
+        # gets in by shifting every c_j one target down, a path through all
+        # of them.
         n = 3000
-        targets = [(d, f"t{d}") for d in range(n, 0, -1)]
-        chargers = [(j + 1, f"c{j}") for j in range(n, 1, -1)] + [(n + 1, "x")]
+        candidates = [[f"t{j}", f"t{j - 1}"] for j in range(n, 1, -1)] + [[f"t{n}"]]
         with pytest.raises(RecursionError):
-            match_overflow_recursive(chargers, targets)
-        mapping = _match_overflow(chargers, targets)
-        assert mapping is not None
-        target_of = dict(mapping)
-        assert target_of[(n + 1, "x")] == (n, f"t{n}")
-        assert target_of[(3, "c2")] == (1, "t1")
+            injection_by_recursion(candidates)
+        seats = _inject(candidates)
+        assert seats[-1] == f"t{n}"
+        assert seats[:-1] == [f"t{j - 1}" for j in range(n, 1, -1)]
 
 
 class TestDeviations:

@@ -239,6 +239,57 @@ class TestCompare:
         assert (metrics / "metrics_offline.csv").exists()
 
 
+# Parses, but products of it pass the interpreter's 4,300-digit limit on
+# turning an int into text.
+NINES = "1/" + "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "command, discount, priorities, expected",
+    [
+        (
+            ["solve", "--algorithm", "online1", "--exact"],
+            NINES,
+            [NINES],
+            "utility   : 0.000000 (exact about 1-digit / 6001-digit fraction, too long to print)",
+        ),
+        (
+            ["compare", "--exact"],
+            NINES,
+            [NINES],
+            "utility   : 0.000000 (exact about 1-digit / 6001-digit fraction, too long to print)",
+        ),
+        (["compare", "--model2"], "0.5", [NINES, "0.5"], "worst-case bound     : beyond float range"),
+    ],
+    ids=["solve-exact", "compare-exact", "compare-model2-bound"],
+)
+def test_values_too_long_to_print_are_described(tmp_path, capsys, command, discount, priorities, expected):
+    document = {
+        "schema_version": 1,
+        "kind": "instance",
+        "discount": discount,
+        "num_days": 2,
+        "daily_supply": [0, 2],
+        "categories": [{"id": "c1", "daily_quota": [2, 2], "overall_quota": 2 if "--model2" in command else None}],
+        "agents": [
+            {"id": f"a{k}", "priority": p, "availability": [1, 1], "eligible": ["c1"], "group": None}
+            for k, p in enumerate(priorities)
+        ],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document))
+    assert run([command[0], str(path), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert expected in out
+    assert out.rstrip().splitlines()[-1].startswith("empirical efficiency" if command[0] == "compare" else "wall-clock")
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_overall_quotas_without_model2_are_refused(capsys, command):
+    assert run([command, TIGHT_GEN]) == cli.EXIT_INVALID
+    assert "overall quotas" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_fixture_passes(self, capsys):
         assert run(["verify", TIGHT_GEN, "--model2"]) == 0
