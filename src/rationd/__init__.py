@@ -13,6 +13,7 @@ from .model import (
     Allocation,
     Category,
     Instance,
+    TieBreakOrder,
     ValidationReport,
     Violation,
     check_allocation,
@@ -24,7 +25,6 @@ from .flow import Arc, FlowNetwork, FlowResult, NegativeCycleError, solve_profit
 from .offline import (
     OracleBudgetExceeded,
     ReductionMap,
-    TieBreakOrder,
     build_model1_network,
     solve_exact_oracle,
     solve_offline_model1,

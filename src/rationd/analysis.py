@@ -24,17 +24,16 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Allocation, Instance, total_utility, utility_of
+from .model import Allocation, Instance, TieBreak, priority_keys, total_utility, utility_of
 from .offline import solve_exact_oracle, solve_offline_model1
 from . import online
-from .online import DayGraph, TieBreak, run_online
+from .online import DayGraph, run_online
 
 class InfiniteRatioError(ArithmeticError):
     """Online utility is zero while the offline optimum is positive."""
@@ -183,9 +182,7 @@ def build_charging_report(
     day as the witness. Failures are reported, never raised.
     """
     priorities = {a.id: a.priority for a in instance.agents}
-    # Integer keys: every priority over a common denominator.
-    scale = math.lcm(*(p.denominator for p in priorities.values()))
-    key = {a: p.numerator * (scale // p.denominator) for a, p in priorities.items()}
+    key = priority_keys(instance)
 
     online_by_day: dict[int, list[str]] = defaultdict(list)
     online_under_cat: dict[str, list[tuple[int, str]]] = defaultdict(list)
@@ -241,46 +238,23 @@ def build_charging_report(
 def _inject(candidates: Sequence[Sequence[Hashable]]) -> list[Hashable | None]:
     """Give each charger a distinct slot from its candidate list, or None.
 
-    Chargers are seated in order. Each takes its first free candidate or,
-    when every candidate is held, the first augmenting path found depth
-    first, where each displaced charger again takes a free candidate when
-    it has one. The search keeps an explicit stack, so a long chain of
-    chargers displacing one another needs no recursion. A charger with no
-    path stays None and leaves the others seated as they were; it would
-    find none later either, so every charger is seated exactly when an
-    injection of all of them exists.
+    Chargers are seated in order by the online matcher's breadth-first
+    augmenting-path search, each slot a category of capacity 1. A charger
+    with no path stays None; the slots its search reached stay full for
+    good, so later searches skip them. The seated chargers form a maximum
+    injection.
     """
-    seat: list[Hashable | None] = [None] * len(candidates)
-    holder: dict[Hashable, int] = {}  # slot -> charger seated on it
-    for start in range(len(candidates)):
-        banned: set[Hashable] = set()
-        stack = [[start, -1]]  # [charger, last candidate tried; -1 before the free scan]
-        chosen: list[Hashable] = []  # the slot each frame below the top is trying
-        while stack:
-            frame = stack[-1]
-            charger, i = frame
-            options = candidates[charger]
-            if i < 0:
-                free = next((slot for slot in options if slot not in holder), None)
-                if free is not None:
-                    chosen.append(free)
-                    for (mover, _i), slot in zip(stack, chosen):
-                        holder[slot] = mover
-                        seat[mover] = slot
-                    break
-            i += 1
-            while i < len(options) and options[i] in banned:
-                i += 1
-            if i == len(options):
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-            frame[1] = i
-            banned.add(options[i])
-            chosen.append(options[i])
-            stack.append([holder[options[i]], -1])
-    return seat
+    slack = {slot: 1 for options in candidates for slot in options}
+    holders: dict[Hashable, list[Hashable]] = {slot: [] for slot in slack}
+    seat: dict[Hashable, Hashable] = {}
+    dead: set[Hashable] = set()
+    for charger, options in enumerate(candidates):
+        end, parent = online._augmenting_path(charger, options, candidates, holders, slack, dead, frozenset())
+        if end is None:
+            dead.update(parent)
+        else:
+            online._shift(end, parent, seat, holders, slack)
+    return [seat.get(charger) for charger in range(len(candidates))]
 
 
 def _certify(

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, data
-from .model import Allocation, Instance, check_allocation, total_utility, validate_instance
-from .offline import OracleBudgetExceeded, TieBreakOrder, solve_exact_oracle, solve_offline_model1
-from .online import TieBreak, run_online, run_online_with_trace
+from .model import Allocation, Instance, TieBreak, TieBreakOrder, check_allocation, precedence, total_utility, validate_instance
+from .offline import OracleBudgetExceeded, solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
+from .online import run_online, run_online_with_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 3
@@ -104,14 +104,23 @@ def _summarize(instance: Instance, alloc: Allocation, solver: str, seconds: floa
 
 
 def _parse_tie_break(text: str | None, instance: Instance) -> TieBreak:
-    if text is None:
-        return None
-    if text == "adversarial":
-        return "adversarial"
-    order = tuple(part.strip() for part in text.split(",") if part.strip())
-    tie = TieBreakOrder(order)
-    tie.validate_for(instance)
+    if text is None or text == "adversarial":
+        return text
+    tie = TieBreakOrder(tuple(part.strip() for part in text.split(",") if part.strip()))
+    precedence(instance, tie)
     return tie
+
+
+def _require_model(instance: Instance, model2: bool, command: str) -> None:
+    """Exit before any step unless the model ``--model2`` selects fits
+    ``instance``: overall quotas on every category with it, on none without."""
+    wrong = [c.id for c in instance.categories if (c.overall_quota is None) == model2]
+    if wrong:
+        if model2:
+            print(f"cannot {command}: --model2 needs an overall quota on every category; missing on {wrong}", file=sys.stderr)
+        else:
+            print(f"cannot {command}: categories {wrong} carry overall quotas, which only --model2 enforces", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
 
 
 def _load_instance_or_fail(path: str) -> Instance:
@@ -152,9 +161,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad tie-break: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if tie_break is not None and args.algorithm.startswith("oracle"):
+        print(f"bad tie-break: {args.algorithm} breaks no ties by precedence", file=sys.stderr)
+        return EXIT_INVALID
     started = time.perf_counter()
     try:
-        if args.algorithm == "offline1":
+        if args.algorithm == "offline1" and tie_break is not None:
+            alloc = solve_offline_tiebroken(instance, tie_break)
+        elif args.algorithm == "offline1":
             alloc = solve_offline_model1(instance)
         elif args.algorithm == "online1":
             alloc = run_online(instance, model2=False, tie_break=tie_break)
@@ -190,13 +204,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"bad tie-break: {exc}", file=sys.stderr)
         return EXIT_INVALID
     model2 = args.model2
+    _require_model(instance, model2, "compare")
 
     started = time.perf_counter()
-    try:
-        online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
-    except ValueError as exc:
-        print(f"cannot solve: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
     online_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -208,9 +219,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except OracleBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"cannot solve: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     offline_seconds = time.perf_counter() - started
 
     _print_summary(_summarize(instance, online_alloc, "online2" if model2 else "online1", online_seconds), args.exact)
@@ -249,6 +257,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance_or_fail(args.instance)
     model2 = args.model2
+    _require_model(instance, model2, "verify")
     failures = 0
     skips = 0
 
@@ -269,11 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "; ".join(v.message for v in report.violations[:3]),
         )
 
-    try:
-        online_alloc, trace = run_online_with_trace(instance, model2=model2)
-    except ValueError as exc:
-        print(f"cannot verify: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    online_alloc, trace = run_online_with_trace(instance, model2=model2)
     outcome("online allocation feasible", check_allocation(instance, online_alloc, model2=model2).ok)
 
     sizes_ok = all(len(day.matched) == analysis.max_matching_size(day.graph) for day in trace)
@@ -291,9 +296,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"[SKIP] charge certificate (budget exceeded: {exc})")
         skips += 1
         offline_alloc = None
-    except ValueError as exc:
-        print(f"cannot verify: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     if offline_alloc is not None:
         report = analysis.build_charging_report(instance, online_alloc, offline_alloc, model2=model2)
         outcome(
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance file")
     p_solve.add_argument("--algorithm", required=True, choices=["offline1", "online1", "online2", "oracle", "oracle2"])
     p_solve.add_argument("--out", help="allocation file to write")
-    p_solve.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence")
+    p_solve.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence; not for the oracles")
     p_solve.add_argument("--budget", type=int, default=1_000_000, help="oracle search budget")
     p_solve.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")
     p_solve.set_defaults(func=cmd_solve)
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run online and offline and compare")
     p_compare.add_argument("instance", help="instance file")
     p_compare.add_argument("--model2", action="store_true", help="enforce overall quotas (offline side uses the oracle)")
-    p_compare.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence")
+    p_compare.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence for the online run")
     p_compare.add_argument("--budget", type=int, default=1_000_000, help="oracle search budget")
     p_compare.add_argument("--metrics-dir", help="directory for coverage metric CSVs")
     p_compare.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")

@@ -14,6 +14,7 @@ is worth ``priority * discount**(j - 1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
@@ -73,6 +74,40 @@ class Instance:
             return Fraction(1)
         priorities = [a.priority for a in self.agents]
         return max(priorities) / min(priorities)
+
+
+@dataclass(frozen=True)
+class TieBreakOrder:
+    """Agent precedence: position 0 is served first when utility ties."""
+
+    order: tuple[str, ...]
+
+
+# None (instance order), "adversarial" (reversed instance order), or an
+# explicit order; :func:`precedence` resolves it.
+TieBreak = TieBreakOrder | str | None
+
+
+def precedence(instance: Instance, tie_break: TieBreak) -> tuple[str, ...]:
+    """The agent precedence, first served first, that every solver reads
+    ``tie_break`` as. Raises ValueError for an order that is not a
+    permutation of the agents and for any other kind of value."""
+    if tie_break is None:
+        return instance.agent_order()
+    if tie_break == "adversarial":
+        return tuple(reversed(instance.agent_order()))
+    if not isinstance(tie_break, TieBreakOrder):
+        raise ValueError(f"unknown tie-break mode {tie_break!r} (expected 'adversarial' or a TieBreakOrder)")
+    if sorted(tie_break.order) != sorted(instance.agent_order()):
+        raise ValueError("tie-break order must be a permutation of the instance's agent ids")
+    return tie_break.order
+
+
+def priority_keys(instance: Instance) -> dict[str, int]:
+    """Each agent's priority as an integer over the priorities' common
+    denominator, so priorities compare without rational arithmetic."""
+    scale = math.lcm(*(a.priority.denominator for a in instance.agents))
+    return {a.id: a.priority.numerator * (scale // a.priority.denominator) for a in instance.agents}
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ negated integer-scaled utility. So an available agent-day costs one arc,
 not one per eligible category, and since every agent of a hub is eligible
 for every category feeding it, the units arriving at a hub can be seated on
 its matched agents in any order. Minimizing cost over profitable flows is
-then exactly maximizing total utility, and because every augmenting path is
-profitable the optimum is simultaneously of maximum cardinality (no agent
-can be added to it).
+then exactly maximizing total utility. The optimum is maximal, since no
+agent can be added to it (that would be a profitable augmentation), but not
+always of maximum cardinality: one high-priority agent on day 1 can be
+worth more than itself on day 2 plus a low-priority agent on day 1.
 """
 
 from __future__ import annotations
@@ -25,27 +26,13 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .flow import Arc, FlowNetwork, solve_profitable_flow
-from .model import Allocation, Instance, Slot, utility_of, validate_instance
+from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, precedence, utility_of, validate_instance
 
 log = logging.getLogger(__name__)
 
 
 class OracleBudgetExceeded(RuntimeError):
     """The exhaustive oracle refused to run: the search budget is too small."""
-
-
-@dataclass(frozen=True)
-class TieBreakOrder:
-    """Agent precedence: position 0 is served first when utility ties."""
-
-    order: tuple[str, ...]
-
-    def ranks(self) -> dict[str, int]:
-        return {agent_id: rank for rank, agent_id in enumerate(self.order)}
-
-    def validate_for(self, instance: Instance) -> None:
-        if sorted(self.order) != sorted(instance.agent_order()):
-            raise ValueError("tie-break order must be a permutation of the instance's agent ids")
 
 
 @dataclass(frozen=True)
@@ -110,9 +97,17 @@ def build_model1_network(
     solved flow.
 
     With ``tie_break`` given, hub-to-agent arcs carry composite costs
-    ``utility * B + bonus`` with ``bonus = 2**(n - 1 - rank)`` and ``B = 2**n``,
-    so cost order decides utility first and then lexicographically prefers
-    serving higher-precedence agents.
+    ``-(utility * B + bonus)``, where an agent's bonus is ``n - position``
+    in the precedence (``n`` agents, first position 0) and ``B = n * (n +
+    1) // 2 + 1`` exceeds any sum of bonuses. So cost decides utility
+    first, and among optimal flows the served set with the largest sum of
+    bonuses wins. That set is the lexicographically first one in the
+    precedence, as with bonuses ``2**(n - 1 - position)``: optimal flows
+    form a face of the flow polytope, the agent sets they serve form an
+    M♮-convex set (Murota, *Discrete Convex Analysis*, 2003), and over
+    such a set a greedy in precedence order maximizes every linear objective
+    whose weights are positive and fall strictly with precedence. Costs stay
+    about ``2 * log2(n)`` bits wider than the utilities.
     """
     _require_well_formed(instance)
     days = range(1, instance.num_days + 1)
@@ -166,11 +161,9 @@ def build_model1_network(
     scale = math.lcm(*(u.denominator for u in utilities.values())) if utilities else 1
 
     if tie_break is not None:
-        tie_break.validate_for(instance)
-        ranks = tie_break.ranks()
         n = len(instance.agents)
-        base = 2**n
-        bonus = {agent_id: 2 ** (n - 1 - rank) for agent_id, rank in ranks.items()}
+        base = n * (n + 1) // 2 + 1
+        bonus = {agent_id: n - position for position, agent_id in enumerate(precedence(instance, tie_break))}
     else:
         base = 1
         bonus = {}
@@ -235,11 +228,13 @@ def solve_offline_model1(instance: Instance) -> Allocation:
     return rmap.allocation(result.arc_flows)
 
 
-def solve_offline_tiebroken(instance: Instance, order: TieBreakOrder) -> Allocation:
+def solve_offline_tiebroken(instance: Instance, tie_break: TieBreak) -> Allocation:
     """Like :func:`solve_offline_model1`, but among utility-maximal allocations
-    returns the one whose matched set lexicographically prefers agents ranked
-    earlier in ``order``."""
+    returns the one whose matched set lexicographically prefers agents
+    earlier in the precedence ``tie_break`` stands for; it takes what
+    :func:`~rationd.online.run_online` takes, with the same meaning."""
     _reject_overall_quotas(instance)
+    order = TieBreakOrder(precedence(instance, tie_break))
     network, rmap = build_model1_network(instance, tie_break=order)
     result = solve_profitable_flow(network)
     return rmap.allocation(result.arc_flows)

@@ -39,18 +39,14 @@ bad runs, where the ratio to the offline optimum meets the bound exactly.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, Sequence
 
 # Not called here. ``perfbench/spans.py`` wraps this name on this module to
 # count flow solves, so the import stays until the tracer stops asking for it.
 from .flow import solve_profitable_flow  # noqa: F401
-from .model import Allocation, Instance, validate_instance
-from .offline import TieBreakOrder
-
-TieBreak = TieBreakOrder | str | None
+from .model import Allocation, Instance, TieBreak, precedence, priority_keys, validate_instance
 
 log = logging.getLogger(__name__)
 
@@ -116,28 +112,15 @@ class _Ranking:
     eligible: Mapping[str, tuple[str, ...]]
 
 
-def _effective_precedence(instance: Instance, tie_break: TieBreak) -> tuple[str, ...]:
-    if tie_break is None:
-        return instance.agent_order()
-    if isinstance(tie_break, str):
-        if tie_break == "adversarial":
-            return tuple(reversed(instance.agent_order()))
-        raise ValueError(f"unknown tie-break mode {tie_break!r} (expected 'adversarial' or a TieBreakOrder)")
-    tie_break.validate_for(instance)
-    return tie_break.order
-
-
 def _ranking(instance: Instance, tie_break: TieBreak) -> _Ranking:
-    precedence = _effective_precedence(instance, tie_break)
-    priorities = {a.id: a.priority for a in instance.agents}
-    # Integer keys: every priority over a common denominator. The sort is
-    # stable (also reversed), so equal priorities keep the precedence.
-    scale = math.lcm(*(p.denominator for p in priorities.values()))
-    key = {a: p.numerator * (scale // p.denominator) for a, p in priorities.items()}
-    order = tuple(sorted(precedence, key=key.__getitem__, reverse=True))
+    by_precedence = precedence(instance, tie_break)
+    # The sort is stable (also reversed), so equal priorities keep the
+    # precedence.
+    order = tuple(sorted(by_precedence, key=priority_keys(instance).__getitem__, reverse=True))
     cat_ids = tuple(c.id for c in instance.categories)
     eligible = {a.id: tuple(c for c in cat_ids if c in a.eligible) for a in instance.agents}
-    return _Ranking(order, {a: i for i, a in enumerate(precedence)}, priorities, eligible)
+    priorities = {a.id: a.priority for a in instance.agents}
+    return _Ranking(order, {a: i for i, a in enumerate(by_precedence)}, priorities, eligible)
 
 
 def _day_graph(
@@ -187,21 +170,23 @@ def build_day_graph(
 
 
 def _augmenting_path(
-    agent: str,
-    entries: Sequence[str],
-    eligible: Mapping[str, Sequence[str]],
-    holders: Mapping[str, list[str]],
-    slack: Mapping[str, int],
-    closed: AbstractSet[str],
-    fixed: AbstractSet[str],
-) -> tuple[str | None, dict[str, str]]:
+    agent: Hashable,
+    entries: Sequence[Hashable],
+    eligible: Mapping[Hashable, Sequence[Hashable]],
+    holders: Mapping[Hashable, list[Hashable]],
+    slack: Mapping[Hashable, int],
+    closed: AbstractSet[Hashable],
+    fixed: AbstractSet[Hashable],
+) -> tuple[Hashable | None, dict[Hashable, Hashable]]:
     """Breadth-first search for a way to seat ``agent`` in one of
     ``entries``, moving other agents along an alternating path to a category
     with slack. Skips the categories in ``closed`` and those with no capacity
     today (missing from ``slack``), and never moves ``fixed`` agents.
 
     Returns the category where the path ends (None if there is none) and,
-    for every category reached, the agent that would move into it.
+    for every category reached, the agent that would move into it. Agents
+    and categories may be any hashable values; the charge certificate seats
+    its chargers on slots with the same search.
     """
     parent: dict[str, str] = {}
     queue: list[str] = []
@@ -226,11 +211,11 @@ def _augmenting_path(
 
 
 def _shift(
-    end: str,
-    parent: Mapping[str, str],
-    seat: dict[str, str],
-    holders: Mapping[str, list[str]],
-    slack: dict[str, int],
+    end: Hashable,
+    parent: Mapping[Hashable, Hashable],
+    seat: dict[Hashable, Hashable],
+    holders: Mapping[Hashable, list[Hashable]],
+    slack: dict[Hashable, int],
 ) -> None:
     """Apply the path ending at ``end``: each agent on it moves one step, and
     the agent that has no seat yet takes the first one."""

@@ -1,13 +1,14 @@
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rationd import analysis, cli
-from rationd.data import instance_to_document, read_instance, write_allocation
-from rationd.model import Allocation
+from rationd.data import instance_to_document, read_allocation, read_instance, write_allocation
+from rationd.model import Agent, Allocation, Category, Instance
 
 from helpers import tight_model1
 
@@ -181,6 +182,34 @@ class TestSolve:
         code = run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "a1"])
         assert code == cli.EXIT_INVALID
 
+    def symmetric_pair(self, tmp_path):
+        instance = Instance(
+            agents=tuple(Agent(a, Fraction(1, 2), (True,), frozenset({"c1"})) for a in ("a1", "a2")),
+            categories=(Category("c1", (1,)),),
+            num_days=1,
+            daily_supply=(1,),
+            discount=Fraction(1, 2),
+        )
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(instance_to_document(instance)))
+        return str(path)
+
+    def test_offline_follows_the_tie_break(self, tmp_path, capsys):
+        path = self.symmetric_pair(tmp_path)
+        served = []
+        for order in ("a1,a2", "a2,a1"):
+            out = tmp_path / f"{order}.json"
+            assert run(["solve", path, "--algorithm", "offline1", "--tie-break", order, "--out", str(out)]) == 0
+            served.append({a for a, _c, _d in read_allocation(str(out)).matched()})
+        assert served == [{"a1"}, {"a2"}]
+
+    @pytest.mark.parametrize("algorithm", ["oracle", "oracle2"])
+    def test_the_oracles_refuse_a_tie_break(self, tmp_path, capsys, algorithm):
+        path = self.symmetric_pair(tmp_path)
+        assert run(["solve", path, "--algorithm", algorithm, "--tie-break", "a1,a2"]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("bad tie-break: ")
+
 
 class TestCompare:
     def test_tight_model1_flags_tightness(self, capsys):
@@ -288,6 +317,20 @@ def test_values_too_long_to_print_are_described(tmp_path, capsys, command, disco
 def test_overall_quotas_without_model2_are_refused(capsys, command):
     assert run([command, TIGHT_GEN]) == cli.EXIT_INVALID
     assert "overall quotas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+@pytest.mark.parametrize(
+    "instance, flags",
+    [(TIGHT_GEN, []), (TIGHT_M1, ["--model2"])],
+    ids=["overall-quotas-without-model2", "model2-without-overall-quotas"],
+)
+def test_model_mismatch_is_refused_before_any_step(capsys, command, instance, flags):
+    assert run([command, instance, *flags]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot {command}: ") and "--model2" in captured.err
+    assert "solve_exact_oracle" not in captured.err
 
 
 class TestVerify:

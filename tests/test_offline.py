@@ -154,6 +154,23 @@ class TestOfflineSolver:
         alloc = solve_offline_model1(inst)
         assert total_utility(inst, alloc) == Fraction(23, 20)
 
+    def test_optimum_is_maximal_but_not_of_maximum_cardinality(self):
+        # a1 on day 1 (9/10) beats a2 on day 1 plus a1 on day 2 (1/10 +
+        # 9/20), so the optimum serves one agent where two fit.
+        inst = Instance(
+            agents=(
+                Agent("a1", Fraction(9, 10), (True, True), frozenset({"c1"})),
+                Agent("a2", Fraction(1, 10), (True, False), frozenset({"c1"})),
+            ),
+            categories=(Category("c1", (1, 1)),),
+            num_days=2,
+            daily_supply=(1, 1),
+            discount=Fraction(1, 2),
+        )
+        alloc = solve_offline_model1(inst)
+        assert dict(alloc.assignment) == {"a1": ("c1", 1), "a2": None}
+        assert wasted_slots(inst, alloc) == ()
+
     def test_rejects_overall_quotas(self):
         with pytest.raises(ValueError, match="overall quotas"):
             solve_offline_model1(tight_general())
@@ -277,7 +294,7 @@ class TestTieBroken:
             ids = [a.id for a in inst.agents]
             rng.shuffle(ids)
             order = TieBreakOrder(tuple(ids))
-            ranks = order.ranks()
+            ranks = {agent_id: rank for rank, agent_id in enumerate(order.order)}
             alloc = solve_offline_tiebroken(inst, order)
             best = best_utility(inst)
             assert total_utility(inst, alloc) == best
@@ -299,6 +316,66 @@ class TestTieBroken:
         inst = self.symmetric_pair()
         with pytest.raises(ValueError):
             solve_offline_tiebroken(inst, TieBreakOrder(("a1",)))
+
+    def test_takes_the_tie_breaks_the_online_run_takes(self):
+        inst = self.symmetric_pair()
+        assert solve_offline_tiebroken(inst, None).slot_of("a1") is not None
+        assert solve_offline_tiebroken(inst, "adversarial").slot_of("a2") is not None
+        with pytest.raises(ValueError, match="unknown tie-break"):
+            solve_offline_tiebroken(inst, "fair")
+
+    def test_rank_weights_pick_the_sets_of_power_of_two_bonuses(self):
+        # Instances whose utility-maximal allocations serve sets of
+        # different sizes, where weights n - position could part from the
+        # lexicographic 2**(n - 1 - position) of the flat reference.
+        priorities = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+
+        def draw(rng: random.Random) -> Instance:
+            n_days = rng.randint(2, 3)
+            categories = tuple(
+                Category(f"c{i}", tuple(rng.randint(0, 1) for _ in range(n_days))) for i in range(rng.randint(1, 2))
+            )
+            agents = tuple(
+                Agent(
+                    f"a{k}",
+                    rng.choice(priorities),
+                    tuple(rng.random() < 0.6 for _ in range(n_days)),
+                    frozenset(c.id for c in categories if rng.random() < 0.7),
+                )
+                for k in range(rng.randint(3, 6))
+            )
+            return Instance(agents, categories, n_days, tuple(rng.randint(1, 2) for _ in range(n_days)), Fraction(1, 2))
+
+        def optimal_set_sizes(inst: Instance) -> set[int]:
+            best = best_utility(inst)
+            return {
+                sum(slot is not None for slot in candidate.values())
+                for candidate in iter_allocations(inst)
+                if allocation_value(inst, candidate) == best
+            }
+
+        rng = random.Random(11)
+        kept = [inst for inst in (draw(rng) for _ in range(3000)) if len(optimal_set_sizes(inst)) > 1]
+        assert len(kept) >= 20
+        moved = 0
+        for inst in kept:
+            ids = list(inst.agent_order())
+            chosen = set()
+            for _ in range(6):
+                rng.shuffle(ids)
+                hub = solve_offline_tiebroken(inst, TieBreakOrder(tuple(ids)))
+                flat = flat_offline_allocation(inst, tuple(ids))
+                served = frozenset(a for a, _c, _d in hub.matched())
+                assert served == {a for a, _c, _d in flat.matched()}
+                assert total_utility(inst, hub) == total_utility(inst, flat)
+                chosen.add(served)
+            moved += len(chosen) > 1
+        assert moved > 0  # some orders do change the served set
+
+    def test_tiebroken_costs_stay_narrow_at_1000_agents(self):
+        inst = generate(GeneratorConfig(num_agents=1000, num_days=10, num_hospitals=8, seed=1))
+        network, _rmap = build_model1_network(inst, TieBreakOrder(inst.agent_order()))
+        assert max(abs(arc.cost).bit_length() for arc in network.arcs) <= 80
 
 
 class TestExactOracle:

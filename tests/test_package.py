@@ -1,4 +1,24 @@
+import ast
+from pathlib import Path
+
 import rationd
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rationd"
+# Each module may import only the modules before it.
+LAYERS = ("model", "flow", "offline", "online", "analysis", "data", "cli")
+
+
+def relative_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports, by ``from .x import ...`` or
+    ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
 
 
 def test_public_surface_resolves():
@@ -8,3 +28,14 @@ def test_public_surface_resolves():
 
 def test_version_is_set():
     assert rationd.__version__
+
+
+def test_modules_import_only_earlier_layers():
+    assert {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} == set(LAYERS)
+    for position, module in enumerate(LAYERS):
+        assert relative_imports(module) <= set(LAYERS[:position]), module
+
+
+def test_online_and_offline_are_independent():
+    assert "offline" not in relative_imports("online")
+    assert "online" not in relative_imports("offline")
