@@ -111,15 +111,23 @@ def _parse_tie_break(text: str | None, instance: Instance) -> TieBreak:
     return tie
 
 
-def _require_model(instance: Instance, model2: bool, command: str) -> None:
-    """Exit before any step unless the model ``--model2`` selects fits
-    ``instance``: overall quotas on every category with it, on none without."""
+def _require_model(
+    instance: Instance, model2: bool, command: str, model2_option: str = "--model2", model1_option: str = ""
+) -> None:
+    """Exit before any step unless the model selected fits ``instance``:
+    overall quotas on every category for model 2, on none for model 1.
+    ``model2_option`` names what selects model 2, ``model1_option`` (if
+    any) what selects model 1."""
     wrong = [c.id for c in instance.categories if (c.overall_quota is None) == model2]
     if wrong:
         if model2:
-            print(f"cannot {command}: --model2 needs an overall quota on every category; missing on {wrong}", file=sys.stderr)
+            advice = f"; use {model1_option}" if model1_option else ""
+            print(
+                f"cannot {command}: {model2_option} needs an overall quota on every category; missing on {wrong}{advice}",
+                file=sys.stderr,
+            )
         else:
-            print(f"cannot {command}: categories {wrong} carry overall quotas, which only --model2 enforces", file=sys.stderr)
+            print(f"cannot {command}: categories {wrong} carry overall quotas, which only {model2_option} enforces", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 
@@ -164,6 +172,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if tie_break is not None and args.algorithm.startswith("oracle"):
         print(f"bad tie-break: {args.algorithm} breaks no ties by precedence", file=sys.stderr)
         return EXIT_INVALID
+    model2 = args.algorithm in ("online2", "oracle2")
+    _require_model(instance, model2, "solve", "--algorithm online2/oracle2", "--algorithm online1/offline1/oracle")
     started = time.perf_counter()
     try:
         if args.algorithm == "offline1" and tie_break is not None:
@@ -185,7 +195,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"cannot solve: {exc}", file=sys.stderr)
         return EXIT_INVALID
     seconds = time.perf_counter() - started
-    model2 = args.algorithm in ("online2", "oracle2")
     feasibility = check_allocation(instance, alloc, model2=model2)
     if not feasibility.ok:
         print("solver produced an infeasible allocation (bug)", file=sys.stderr)

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Optional
 Slot = Optional[tuple[str, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Agent:
     """One participant. ``priority`` must lie strictly between 0 and 1."""
 
@@ -34,7 +34,7 @@ class Agent:
     group: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Category:
     """A rationing channel with a per-day quota vector.
 
@@ -47,7 +47,7 @@ class Category:
     overall_quota: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     agents: tuple[Agent, ...]
     categories: tuple[Category, ...]
@@ -76,7 +76,7 @@ class Instance:
         return max(priorities) / min(priorities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TieBreakOrder:
     """Agent precedence: position 0 is served first when utility ties."""
 
@@ -110,7 +110,7 @@ def priority_keys(instance: Instance) -> dict[str, int]:
     return {a.id: a.priority.numerator * (scale // a.priority.denominator) for a in instance.agents}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """A (partial) assignment of agents to (category, day) slots.
 
@@ -141,14 +141,14 @@ class Allocation:
         return Allocation({a.id: None for a in instance.agents})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: str
     subjects: tuple[str, ...]
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = field(default_factory=tuple)
 
@@ -162,6 +162,14 @@ class ValidationReport:
 
 def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _in_unit_interval(value: object) -> bool:
+    """``0 < value < 1``; a Fraction (normalized, so its denominator is
+    positive) is checked on its integer parts, without rational arithmetic."""
+    if type(value) is Fraction:
+        return 0 < value.numerator < value.denominator
+    return 0 < value < 1
 
 
 def validate_instance(instance: Instance) -> ValidationReport:
@@ -185,7 +193,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
     for day, supply in enumerate(instance.daily_supply, start=1):
         if not _is_count(supply):
             flag("structure", (str(day),), f"daily supply for day {day} must be a non-negative integer")
-    if not (0 < instance.discount < 1):
+    if not _in_unit_interval(instance.discount):
         flag("discount", (), f"discount must lie strictly between 0 and 1, got {instance.discount}")
 
     seen_categories: set[str] = set()
@@ -219,11 +227,11 @@ def validate_instance(instance: Instance) -> ValidationReport:
                 (agent.id,),
                 f"agent {agent.id!r} has an availability vector of length {len(agent.availability)}, expected {instance.num_days}",
             )
-        if not (0 < agent.priority < 1):
+        if not _in_unit_interval(agent.priority):
             flag("priority", (agent.id,), f"agent {agent.id!r} priority must lie strictly in (0, 1), got {agent.priority}")
-        unknown = agent.eligible - seen_categories
-        for cat_id in sorted(unknown):
-            flag("eligibility", (agent.id, cat_id), f"agent {agent.id!r} is eligible for unknown category {cat_id!r}")
+        if not agent.eligible <= seen_categories:
+            for cat_id in sorted(agent.eligible - seen_categories):
+                flag("eligibility", (agent.id, cat_id), f"agent {agent.id!r} is eligible for unknown category {cat_id!r}")
 
     return ValidationReport(tuple(bad))
 

@@ -261,21 +261,29 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
         (c.overall_quota if (model2 and c.overall_quota is not None) else None) for c in instance.categories
     ]
 
+    # Each available agent-day's utility, computed once, as an integer over
+    # their common denominator: scaling by a positive constant keeps every
+    # comparison below, ties included, and spares the search Fraction sums.
+    days = range(1, instance.num_days + 1)
+    day_values = [
+        [(day, utility_of(agent.priority, day, instance.discount)) for day in days if agent.availability[day - 1]]
+        for agent in instance.agents
+    ]
+    scale = math.lcm(*(value.denominator for own in day_values for _day, value in own))
+
     # Candidate moves per agent, best-first (days ascending = utility descending).
-    moves: list[list[tuple[Fraction, int, int]]] = []  # (utility, day, cat index)
-    for agent in instance.agents:
-        own: list[tuple[Fraction, int, int]] = []
-        for day in range(1, instance.num_days + 1):
-            if not agent.availability[day - 1]:
-                continue
-            value = utility_of(agent.priority, day, instance.discount)
+    moves: list[list[tuple[int, int, int]]] = []  # (scaled utility, day, cat index)
+    for agent, own_days in zip(instance.agents, day_values):
+        own: list[tuple[int, int, int]] = []
+        for day, value in own_days:
+            scaled = value.numerator * (scale // value.denominator)
             for cid in cat_ids:
                 if cid in agent.eligible:
-                    own.append((value, day, cat_index[cid]))
+                    own.append((scaled, day, cat_index[cid]))
         moves.append(own)
 
-    optimistic = [max((value for value, _d, _c in own), default=Fraction(0)) for own in moves]
-    tail_bound = [Fraction(0)] * (n_agents + 1)
+    optimistic = [max((value for value, _d, _c in own), default=0) for own in moves]
+    tail_bound = [0] * (n_agents + 1)
     for k in range(n_agents - 1, -1, -1):
         tail_bound[k] = tail_bound[k + 1] + optimistic[k]
 
@@ -283,12 +291,12 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
     quota_left = [list(c.daily_quota) for c in instance.categories]
     overall_left = list(overall)
 
-    best_value = Fraction(-1)
+    best_value = -1
     best: list[tuple[str, int, int] | None] = []
     current: list[tuple[str, int, int] | None] = [None] * n_agents
     visited = 0
 
-    def enter(k: int, gathered: Fraction) -> bool:
+    def enter(k: int, gathered: int) -> bool:
         """Count a search node; True when its agent's choices are to be tried."""
         nonlocal best_value, best, visited
         visited += 1
@@ -304,7 +312,7 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
     # Depth-first, with an explicit stack so that the depth (one level per
     # agent) is not bounded by the interpreter's recursion limit. A frame is
     # [agent index, value gathered, next move to try, move it holds].
-    stack: list[list] = [[0, Fraction(0), 0, None]] if enter(0, Fraction(0)) else []
+    stack: list[list] = [[0, 0, 0, None]] if enter(0, 0) else []
     while stack:
         frame = stack[-1]
         k, gathered, i, held = frame
@@ -317,7 +325,7 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
             current[k] = None
             frame[3] = None
         own = moves[k]
-        child: tuple[int, Fraction] | None = None
+        child: tuple[int, int] | None = None
         while i < len(own):
             value, day, ci = own[i]
             i += 1

@@ -135,7 +135,25 @@ class TestSolve:
     def test_incompatible_algorithm(self, capsys):
         code = run(["solve", TIGHT_GEN, "--algorithm", "offline1"])
         assert code == cli.EXIT_INVALID
-        assert "overall quotas" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("cannot solve: ") and "overall quotas" in err
+        assert "which only --algorithm online2/oracle2 enforces" in err and "solve_exact_oracle" not in err
+
+    @pytest.mark.parametrize(
+        "instance, algorithm, advice",
+        [
+            (TIGHT_GEN, "online1", "which only --algorithm online2/oracle2 enforces"),
+            (TIGHT_GEN, "oracle", "which only --algorithm online2/oracle2 enforces"),
+            (TIGHT_M1, "online2", "use --algorithm online1/offline1/oracle"),
+            (TIGHT_M1, "oracle2", "use --algorithm online1/offline1/oracle"),
+        ],
+    )
+    def test_model_mismatch_is_refused_before_solving(self, capsys, instance, algorithm, advice):
+        # online1 and oracle used to ignore the overall quotas and exit 0.
+        assert run(["solve", instance, "--algorithm", algorithm]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot solve: ") and advice in captured.err
 
     def test_oracle_budget_exit(self, tmp_path, capsys):
         code = run(["solve", TIGHT_GEN, "--algorithm", "oracle2", "--budget", "1"])

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +12,9 @@ from rationd.model import (
     Allocation,
     Category,
     Instance,
+    TieBreakOrder,
+    ValidationReport,
+    Violation,
     check_allocation,
     total_utility,
     utility_of,
@@ -68,6 +74,27 @@ class TestValidateInstance:
         kinds = validate_instance(inst).kinds()
         assert "priority" in kinds and "eligibility" in kinds
 
+    def test_priority_edge_values(self):
+        # Fractions are checked on their integer parts, anything else by
+        # comparison; the report is the same either way.
+        priorities = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), 0, 1, Fraction(1, 2)]
+        agents = tuple(Agent(f"a{k}", p, (True,), frozenset({"c1"})) for k, p in enumerate(priorities))
+        agents += (Agent("ghost", Fraction(1, 3), (True,), frozenset({"c1", "zz", "c0"})),)
+        inst = Instance(agents, (Category("c1", (1,)),), 1, (1,), Fraction(1, 2))
+
+        def priority(k, shown):
+            return Violation("priority", (f"a{k}",), f"agent 'a{k}' priority must lie strictly in (0, 1), got {shown}")
+
+        def unknown(cat_id):
+            return Violation("eligibility", ("ghost", cat_id), f"agent 'ghost' is eligible for unknown category {cat_id!r}")
+
+        expected = (
+            *(priority(k, shown) for k, shown in enumerate(["0", "1", "-1/2", "3/2", "0", "1"])),
+            unknown("c0"),
+            unknown("zz"),
+        )
+        assert validate_instance(inst) == ValidationReport(expected)
+
     def test_duplicate_ids(self):
         inst = Instance(
             agents=(
@@ -80,6 +107,30 @@ class TestValidateInstance:
             discount=Fraction(1, 2),
         )
         assert sum(1 for v in validate_instance(inst).violations if v.kind == "duplicate") == 2
+
+
+class TestDataclasses:
+    @pytest.mark.parametrize(
+        "value",
+        [two_agent_instance(), Allocation({"a1": ("c1", 2), "a2": None}), TieBreakOrder(("a2", "a1"))],
+        ids=["instance", "allocation", "tie-break-order"],
+    )
+    def test_slotted_values_round_trip(self, value):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+        assert dataclasses.replace(value) == value
+
+    def test_replace_changes_one_field(self):
+        inst = two_agent_instance()
+        changed = dataclasses.replace(inst, discount=Fraction(3, 4))
+        assert changed.discount == Fraction(3, 4) and changed.agents == inst.agents
+        alloc = dataclasses.replace(Allocation.empty(inst), assignment={"a1": ("c1", 1), "a2": None})
+        assert list(alloc.matched()) == [("a1", "c1", 1)]
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            two_agent_instance().num_days = 3
 
 
 class TestUtilityOf:

@@ -387,6 +387,86 @@ class TestExactOracle:
                 inst, solve_offline_model1(inst)
             )
 
+    @pytest.mark.parametrize("model2", [False, True], ids=["model1", "model2"])
+    def test_value_equals_enumeration_on_random_batches(self, model2):
+        # The shapes of the acceptance suite's model-2 batch; with model2
+        # every category carries an overall quota, possibly 0.
+        rng = random.Random(0x0DD + model2)
+        for _ in range(400):
+            inst = random_instance(rng, max_agents=6, max_days=3, max_cats=3, max_cap=2, model2=model2)
+            alloc = solve_exact_oracle(inst, model2=model2)
+            assert check_allocation(inst, alloc, model2=model2).ok
+            assert total_utility(inst, alloc) == best_utility(inst, model2)
+
+    @pytest.mark.parametrize("model2", [False, True], ids=["model1", "model2"])
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            (("a1", "a2", "a3"), {"a1": ("c1", 1), "a2": None, "a3": ("c1", 2)}),
+            (("a2", "a1", "a3"), {"a2": ("c1", 1), "a1": ("c1", 2), "a3": None}),
+            (("a3", "a2", "a1"), {"a3": ("c1", 2), "a2": None, "a1": ("c1", 1)}),
+        ],
+    )
+    def test_ties_go_to_the_first_optimum_found(self, model2, order, expected):
+        # {a1 day 1, a3 day 2} and {a2 day 1, a1 day 2} are both worth 5/8.
+        # The search tries agents in instance order, each one's days
+        # earliest first, and keeps the first optimum it reaches.
+        agents = {
+            "a1": Agent("a1", Fraction(1, 2), (True, True), frozenset({"c1"})),
+            "a2": Agent("a2", Fraction(3, 8), (True, False), frozenset({"c1"})),
+            "a3": Agent("a3", Fraction(1, 4), (False, True), frozenset({"c1"})),
+        }
+        inst = Instance(tuple(agents[a] for a in order), (Category("c1", (1, 1)),), 2, (1, 1), Fraction(1, 2))
+        assert solve_exact_oracle(inst, model2=model2).assignment == expected
+
+    def test_ties_between_categories_go_to_the_first_in_instance_order(self):
+        inst = Instance(
+            (Agent("a1", Fraction(1, 2), (True,), frozenset({"c1", "c2"})),),
+            (Category("c2", (1,), 1), Category("c1", (1,), 1)),
+            1,
+            (1,),
+            Fraction(1, 2),
+        )
+        for model2 in (False, True):
+            assert solve_exact_oracle(inst, model2=model2).assignment == {"a1": ("c2", 1)}
+
+    def test_ties_under_overall_quotas(self):
+        both = frozenset({"c1", "c2"})
+        inst = Instance(
+            (
+                Agent("a1", Fraction(1, 2), (True, True), both),
+                Agent("a2", Fraction(1, 2), (True, True), both),
+                Agent("a3", Fraction(1, 2), (False, True), frozenset({"c2"})),
+            ),
+            (Category("c1", (1, 1), 1), Category("c2", (1, 1), 1)),
+            2,
+            (2, 2),
+            Fraction(1, 2),
+        )
+        assert solve_exact_oracle(inst).assignment == {"a1": ("c1", 1), "a2": ("c2", 1), "a3": ("c2", 2)}
+        assert solve_exact_oracle(inst, model2=True).assignment == {"a1": ("c1", 1), "a2": ("c2", 1), "a3": None}
+
+    def test_a_margin_below_float_resolution_decides(self):
+        # Two agents, one slot on each of two days. Serving "hi" first beats
+        # the runner-up the search reaches first by (hi - lo) * (1 - 19/20),
+        # about 5e-20: the two totals are equal as floats.
+        low_den, high_den = 10**18 + 3, 10**18 + 7
+        lo, hi = Fraction(low_den // 2, low_den), Fraction(high_den // 2 + 1, high_den)
+        discount = Fraction(19, 20)
+        inst = Instance(
+            (Agent("lo", lo, (True, True), frozenset({"c1"})), Agent("hi", hi, (True, True), frozenset({"c1"}))),
+            (Category("c1", (1, 1)),),
+            2,
+            (1, 1),
+            discount,
+        )
+        best, runner_up = hi + lo * discount, lo + hi * discount
+        assert best > runner_up and float(best) == float(runner_up)
+        for model2 in (False, True):
+            alloc = solve_exact_oracle(inst, model2=model2)
+            assert alloc.assignment == {"lo": ("c1", 2), "hi": ("c1", 1)}
+            assert total_utility(inst, alloc) == best
+
     def test_tight_general_value(self):
         inst = tight_general()
         alloc = solve_exact_oracle(inst, model2=True)
