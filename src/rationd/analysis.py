@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Allocation, Instance, TieBreak, priority_keys, total_utility, utility_of
+from .model import Allocation, Instance, TieBreak, UtilityScale, total_utility, utility_scale
 from .offline import solve_exact_oracle, solve_offline_model1
 from . import online
 from .online import DayGraph, run_online
@@ -53,6 +53,15 @@ def model2_bound(instance: Instance) -> Fraction:
     return 1 + instance.discount + instance.priority_spread() * instance.discount
 
 
+def offline_optimum(instance: Instance, model2: bool, budget: int) -> Allocation:
+    """The offline side every ratio is taken against: the flow optimum, or
+    under ``model2`` the exhaustive oracle, which raises
+    :class:`~rationd.offline.OracleBudgetExceeded` past ``budget``."""
+    if model2:
+        return solve_exact_oracle(instance, model2=True, budget=budget)
+    return solve_offline_model1(instance)
+
+
 def competitive_ratio(
     instance: Instance,
     model2: bool = False,
@@ -61,15 +70,12 @@ def competitive_ratio(
 ) -> Fraction:
     """Offline-optimal utility divided by online utility (at least 1).
 
-    The offline side is the flow solver, or the exhaustive oracle when
-    ``model2``. Raises :class:`InfiniteRatioError` if the online run earns
-    nothing while the optimum is positive (the worst-case bounds rule this
-    out for well-formed inputs).
+    The offline side is :func:`offline_optimum`. Raises
+    :class:`InfiniteRatioError` if the online run earns nothing while the
+    optimum is positive (the worst-case bounds rule this out for
+    well-formed inputs).
     """
-    if model2:
-        best = solve_exact_oracle(instance, model2=True, budget=oracle_budget)
-    else:
-        best = solve_offline_model1(instance)
+    best = offline_optimum(instance, model2, oracle_budget)
     online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
     opt = total_utility(instance, best)
     alg = total_utility(instance, online_alloc)
@@ -111,9 +117,10 @@ class ChargingReport:
 
     When ``bound_certified`` every offline-matched agent charges exactly one
     online-matched agent, each target carries at most one charge of each
-    kind, and factors respect 1 / discount / spread*discount. The exact
-    identity ``sum(factor * online utility of target) == offline utility``
-    is part of the certificate.
+    kind, and factors respect 1 / discount / spread*discount. Each charge's
+    exact identity ``factor * online utility of target == offline utility
+    of charger`` is part of the certificate; summed over the charges, it
+    gives the offline utility.
 
     Why the charges exist. Agents the online run served on an earlier day
     than offline (``type1_agents``) charge themselves at ``discount**gap``.
@@ -181,8 +188,8 @@ def build_charging_report(
     A charger left without a slot makes the report uncertified, with its
     day as the witness. Failures are reported, never raised.
     """
-    priorities = {a.id: a.priority for a in instance.agents}
-    key = priority_keys(instance)
+    scale = utility_scale(instance)
+    key = scale.keys
 
     online_by_day: dict[int, list[str]] = defaultdict(list)
     online_under_cat: dict[str, list[tuple[int, str]]] = defaultdict(list)
@@ -228,11 +235,11 @@ def build_charging_report(
         if slot is None:
             return _report(type1, charges, day, f"no online target left for {agent_id!r}, offline-matched on day {day}")
         target, kind = slot
-        factor = priorities[agent_id] / priorities[target]
+        factor = Fraction(key[agent_id], key[target])
         if kind == OVERFLOW:
             factor *= instance.discount ** (day - online_alloc.day_of(target))
         charges.append(Charge(agent_id, target, factor, kind))
-    return _certify(instance, online_alloc, offline_alloc, type1, charges, model2)
+    return _certify(instance, scale, online_alloc, offline_alloc, type1, charges, model2)
 
 
 def _inject(candidates: Sequence[Sequence[Hashable]]) -> list[Hashable | None]:
@@ -259,31 +266,30 @@ def _inject(candidates: Sequence[Sequence[Hashable]]) -> list[Hashable | None]:
 
 def _certify(
     instance: Instance,
+    scale: UtilityScale,
     online_alloc: Allocation,
     offline_alloc: Allocation,
     type1: frozenset[str],
     charges: list[Charge],
     model2: bool,
 ) -> ChargingReport:
-    priorities = {a.id: a.priority for a in instance.agents}
     spread = instance.priority_spread()
     limit = {
         SAME_DAY: Fraction(1),
         DELAYED_SELF: instance.discount,
         OVERFLOW: spread * instance.discount,
     }
-    online_matched = {a for a, _c, _d in online_alloc.matched()}
-    offline_matched = [a for a, _c, _d in offline_alloc.matched()]
+    online_day = {a: d for a, _c, d in online_alloc.matched()}
+    offline_day = {a: d for a, _c, d in offline_alloc.matched()}
 
     kinds_per_target: dict[str, list[str]] = defaultdict(list)
-    chargers = [c.charger for c in charges]
     for charge in charges:
         kinds_per_target[charge.target].append(charge.kind)
 
-    if sorted(chargers) != sorted(offline_matched):
+    if sorted(c.charger for c in charges) != sorted(offline_day):
         return _report(type1, charges, reason="chargers do not cover the offline-matched agents exactly once")
     for charge in charges:
-        if charge.target not in online_matched:
+        if charge.target not in online_day:
             return _report(type1, charges, reason=f"target {charge.target!r} is not online-matched")
         if charge.kind == OVERFLOW and not model2:
             return _report(type1, charges, reason="overflow charge outside model2")
@@ -300,11 +306,13 @@ def _certify(
         if len(kinds) > (3 if model2 else 2):
             return _report(type1, charges, reason=f"target {target!r} carries {len(kinds)} charges")
 
-    # The factors must reproduce the offline utility exactly.
-    online_value = {a: utility_of(priorities[a], d, instance.discount) for a, _c, d in online_alloc.matched()}
-    recovered = sum((charge.factor * online_value[charge.target] for charge in charges), Fraction(0))
-    if recovered != total_utility(instance, offline_alloc):
-        return _report(type1, charges, reason="charge factors do not reconstruct the offline utility")
+    # Each factor carries its target's online utility to its charger's
+    # offline utility exactly; summed, they reconstruct the offline utility.
+    for charge in charges:
+        carried = charge.factor.numerator * scale.utility(charge.target, online_day[charge.target])
+        if carried != charge.factor.denominator * scale.utility(charge.charger, offline_day[charge.charger]):
+            pair = f"{charge.charger!r} -> {charge.target!r}"
+            return _report(type1, charges, reason=f"{charge.kind} factor {charge.factor} of {pair} is not their utility ratio")
     return _report(type1, charges)
 
 
@@ -469,33 +477,29 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
                 reach_day[agent.id] = day
                 break
 
-    matched_day = {a.id: alloc.day_of(a.id) for a in instance.agents}
-    utilities = {
-        a.id: utility_of(a.priority, matched_day[a.id], instance.discount)
-        for a in instance.agents
-        if matched_day[a.id] is not None
-    }
+    # Per row and day: agents first reachable, agents matched, and their
+    # utility times scale.scale.
+    scale = utility_scale(instance)
+    rows = labels + ["all"]
+    per_day = {label: [[0, 0, 0] for _ in range(instance.num_days + 1)] for label in rows}
+    for agent in instance.agents:
+        first, matched_day = reach_day[agent.id], alloc.day_of(agent.id)
+        for label in ("all",) if agent.group is None else (agent.group, "all"):
+            if first is not None:
+                per_day[label][first][0] += 1
+            if matched_day is not None:
+                per_day[label][matched_day][1] += 1
+                per_day[label][matched_day][2] += scale.utility(agent.id, matched_day)
 
-    def members(label: str) -> list[str]:
-        if label == "all":
-            return [a.id for a in instance.agents]
-        return [a.id for a in instance.agents if a.group == label]
-
-    days: list[dict[str, GroupDayStats]] = []
-    for day in range(1, instance.num_days + 1):
-        row: dict[str, GroupDayStats] = {}
-        for label in labels + ["all"]:
-            ids = members(label)
-            reachable = sum(1 for a in ids if reach_day[a] is not None and reach_day[a] <= day)
-            served = sum(1 for a in ids if matched_day[a] is not None and matched_day[a] <= day)
-            today = sum(1 for a in ids if matched_day[a] == day)
-            value = sum(
-                (utilities[a] for a in ids if matched_day[a] is not None and matched_day[a] <= day),
-                Fraction(0),
-            )
+    days: list[dict[str, GroupDayStats]] = [{} for _ in range(instance.num_days)]
+    for label in rows:
+        reachable = served = value = 0
+        for day, (reached, today, gained) in enumerate(per_day[label][1:], start=1):
+            reachable += reached
+            served += today
+            value += gained
             fraction = Fraction(0) if reachable == 0 else 1 - Fraction(served, reachable)
-            row[label] = GroupDayStats(reachable, served, fraction, today, value)
-        days.append(row)
+            days[day - 1][label] = GroupDayStats(reachable, served, fraction, today, Fraction(value, scale.scale))
     return MetricsSeries(tuple(labels), tuple(days))
 
 

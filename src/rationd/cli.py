@@ -221,10 +221,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     try:
-        if model2:
-            offline_alloc = solve_exact_oracle(instance, model2=True, budget=args.budget)
-        else:
-            offline_alloc = solve_offline_model1(instance)
+        offline_alloc = analysis.offline_optimum(instance, model2, args.budget)
     except OracleBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -297,10 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     outcome("online allocation is non-wasteful", not wasted, f"{len(wasted)} addable slots" if wasted else "")
 
     try:
-        if model2:
-            offline_alloc = solve_exact_oracle(instance, model2=True, budget=args.budget)
-        else:
-            offline_alloc = solve_offline_model1(instance)
+        offline_alloc = analysis.offline_optimum(instance, model2, args.budget)
     except OracleBudgetExceeded as exc:
         print(f"[SKIP] charge certificate (budget exceeded: {exc})")
         skips += 1

@@ -147,9 +147,7 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
     _check_version(document, where)
     if _expect(document, "kind", where) != "instance":
         raise DataFormatError(f"{where}: kind is {_shown(document['kind'])}, expected 'instance'")
-    num_days = _expect(document, "num_days", where)
-    if not isinstance(num_days, int):
-        raise DataFormatError(f"{where}.num_days: expected an integer")
+    num_days = _integer(_expect(document, "num_days", where), f"{where}.num_days")
     supply = _expect(document, "daily_supply", where)
     if not isinstance(supply, list) or not all(isinstance(s, int) for s in supply):
         raise DataFormatError(f"{where}.daily_supply: expected a list of integers")
@@ -265,9 +263,7 @@ def allocation_from_document(document: Mapping[str, Any], where: str = "allocati
             continue
         if not isinstance(slot, Mapping):
             raise DataFormatError(f"{spot}: expected null or an object")
-        day = _expect(slot, "day", spot)
-        if not isinstance(day, int):
-            raise DataFormatError(f"{spot}.day: expected an integer")
+        day = _integer(_expect(slot, "day", spot), f"{spot}.day")
         assignment[str(agent_id)] = (_name(_expect(slot, "category", spot), f"{spot}.category"), day)
     return Allocation(assignment)
 

@@ -103,11 +103,39 @@ def precedence(instance: Instance, tie_break: TieBreak) -> tuple[str, ...]:
     return tie_break.order
 
 
-def priority_keys(instance: Instance) -> dict[str, int]:
-    """Each agent's priority as an integer over the priorities' common
-    denominator, so priorities compare without rational arithmetic."""
-    scale = math.lcm(*(a.priority.denominator for a in instance.agents))
-    return {a.id: a.priority.numerator * (scale // a.priority.denominator) for a in instance.agents}
+def priority_keys(instance: Instance) -> tuple[int, dict[str, int]]:
+    """The priorities' common denominator, and each agent's priority as an
+    integer over it, so priorities compare without rational arithmetic."""
+    denominator = math.lcm(*(a.priority.denominator for a in instance.agents))
+    return denominator, {a.id: a.priority.numerator * (denominator // a.priority.denominator) for a in instance.agents}
+
+
+@dataclass(frozen=True, slots=True)
+class UtilityScale:
+    """Every agent-day utility as an integer over one common denominator.
+
+    With priorities ``K_a / D`` (:func:`priority_keys`) and the discount
+    ``x / y`` over ``T`` days, ``scale`` is ``D * y**(T - 1)``, and the
+    utility of agent ``a`` on day ``d``, times ``scale``, is ``keys[a]``
+    (``K_a``) times ``levels[d - 1]`` (``x**(d - 1) * y**(T - d)``)."""
+
+    scale: int
+    keys: Mapping[str, int]
+    levels: tuple[int, ...]
+
+    def utility(self, agent_id: str, day: int) -> int:
+        """``scale`` times the utility of matching ``agent_id`` on 1-based ``day``."""
+        if not 1 <= day <= len(self.levels):
+            raise ValueError(f"day {day} is outside 1..{len(self.levels)}")
+        return self.keys[agent_id] * self.levels[day - 1]
+
+
+def utility_scale(instance: Instance) -> UtilityScale:
+    """The :class:`UtilityScale` of ``instance``, in closed form."""
+    denominator, keys = priority_keys(instance)
+    x, y, days = instance.discount.numerator, instance.discount.denominator, instance.num_days
+    levels = tuple(x ** (d - 1) * y ** (days - d) for d in range(1, days + 1))
+    return UtilityScale(denominator * y ** max(days - 1, 0), keys, levels)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +210,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
     def flag(kind: str, subjects: tuple[str, ...], message: str) -> None:
         bad.append(Violation(kind, subjects, message))
 
-    if not isinstance(instance.num_days, int) or instance.num_days < 1:
+    if not _is_count(instance.num_days) or instance.num_days < 1:
         flag("structure", (), f"num_days must be a positive integer, got {instance.num_days!r}")
     if len(instance.daily_supply) != instance.num_days:
         flag(
@@ -314,10 +342,7 @@ def total_utility(instance: Instance, alloc: Allocation) -> Fraction:
     """Sum of discounted priorities over matched agents.
 
     The allocation is assumed feasible; run :func:`check_allocation` first
-    when in doubt.
+    when in doubt. Raises ValueError for a day outside ``1..num_days``.
     """
-    agents = instance.agent_map()
-    total = Fraction(0)
-    for agent_id, _cat, day in alloc.matched():
-        total += utility_of(agents[agent_id].priority, day, instance.discount)
-    return total
+    scale = utility_scale(instance)
+    return Fraction(sum(scale.utility(agent_id, day) for agent_id, _cat, day in alloc.matched()), scale.scale)

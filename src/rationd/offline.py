@@ -20,13 +20,11 @@ worth more than itself on day 2 plus a low-priority agent on day 1.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .flow import Arc, FlowNetwork, solve_profitable_flow
-from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, precedence, utility_of, validate_instance
+from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, precedence, utility_scale, validate_instance
 
 log = logging.getLogger(__name__)
 
@@ -49,13 +47,10 @@ class Hub:
 @dataclass(frozen=True)
 class ReductionMap:
     """Correspondence between flow arcs/nodes and the instance they encode:
-    each agent's node (in instance order), each hub's arcs, and the cost
-    scaling."""
+    each agent's node (in instance order) and each hub's arcs."""
 
     agent_nodes: Mapping[str, int]
     hubs: tuple[Hub, ...]
-    scale: int
-    tiebreak_base: int
 
     def allocation(self, flows: Sequence[int]) -> Allocation:
         """The allocation a solved flow encodes: each hub hands the units on
@@ -69,10 +64,6 @@ class ReductionMap:
                     raise AssertionError(f"flow matched agent {agent_id!r} twice")
                 assignment[agent_id] = (category, hub.day)
         return Allocation(assignment)
-
-    def utility_of_cost(self, total_cost: int) -> Fraction:
-        """Recover the exact utility encoded by a solved flow's total cost."""
-        return Fraction((-total_cost) // self.tiebreak_base, self.scale)
 
 
 def _require_well_formed(instance: Instance) -> None:
@@ -91,7 +82,8 @@ def build_model1_network(
     Its arcs: ``source -> day`` with the day's supply; ``day -> slot(c, d)``
     for each slot whose quota (and day supply) is above 0, with that quota;
     ``slot(c, d) -> hub(E, d)`` for each category ``c`` of ``E``; ``hub(E,
-    d) -> agent`` (capacity 1, cost ``-utility``) for each agent available
+    d) -> agent`` (capacity 1, cost ``-utility``, as
+    :class:`~rationd.model.UtilityScale` gives it) for each agent available
     on day ``d`` whose open eligible categories are ``E``; ``agent -> sink``
     (capacity 1). :meth:`ReductionMap.allocation` reads an allocation off a
     solved flow.
@@ -149,17 +141,7 @@ def build_model1_network(
                 if shared:
                     hub_members.setdefault((shared, day), []).append(agent.id)
 
-    discount_powers = [Fraction(1)] * instance.num_days
-    for j in range(1, instance.num_days):
-        discount_powers[j] = discount_powers[j - 1] * instance.discount
-    priorities = {agent.id: agent.priority for agent in instance.agents}
-    utilities = {
-        (agent_id, day): priorities[agent_id] * discount_powers[day - 1]
-        for (_shared, day), members in hub_members.items()
-        for agent_id in members
-    }
-    scale = math.lcm(*(u.denominator for u in utilities.values())) if utilities else 1
-
+    scale = utility_scale(instance)
     if tie_break is not None:
         n = len(instance.agents)
         base = n * (n + 1) // 2 + 1
@@ -187,9 +169,9 @@ def build_model1_network(
                 feeds.append((len(arcs), category_id))
                 arcs.append(Arc(slot, hub_node, quota, 0))
         member_arcs = []
+        level = scale.levels[day - 1] * base
         for agent_id in members:
-            utility = utilities[(agent_id, day)]
-            cost = -(utility.numerator * (scale // utility.denominator) * base + bonus.get(agent_id, 0))
+            cost = -(scale.keys[agent_id] * level + bonus.get(agent_id, 0))
             member_arcs.append((len(arcs), agent_id))
             arcs.append(Arc(hub_node, agent_nodes[agent_id], 1, cost))
         hubs.append(Hub(day, tuple(feeds), tuple(member_arcs)))
@@ -200,8 +182,7 @@ def build_model1_network(
         arcs.append(Arc(agent_nodes[agent.id], sink, 1, 0))
 
     network = FlowNetwork(node, source, sink, tuple(arcs))
-    rmap = ReductionMap(agent_nodes=agent_nodes, hubs=tuple(hubs), scale=scale, tiebreak_base=base)
-    return network, rmap
+    return network, ReductionMap(agent_nodes=agent_nodes, hubs=tuple(hubs))
 
 
 def _reject_overall_quotas(instance: Instance) -> None:
@@ -256,31 +237,27 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
         )
 
     cat_ids = [c.id for c in instance.categories]
-    cat_index = {cid: i for i, cid in enumerate(cat_ids)}
     overall = [
         (c.overall_quota if (model2 and c.overall_quota is not None) else None) for c in instance.categories
     ]
 
-    # Each available agent-day's utility, computed once, as an integer over
-    # their common denominator: scaling by a positive constant keeps every
-    # comparison below, ties included, and spares the search Fraction sums.
-    days = range(1, instance.num_days + 1)
-    day_values = [
-        [(day, utility_of(agent.priority, day, instance.discount)) for day in days if agent.availability[day - 1]]
+    # Utilities as integers over one common denominator: scaling by a
+    # positive constant keeps every comparison below, ties included, and
+    # spares the search Fraction sums.
+    scale = utility_scale(instance)
+
+    # Candidate moves per agent, best-first (days ascending = utility
+    # descending): (scaled utility, day, category index).
+    moves = [
+        [
+            (scale.keys[agent.id] * level, day, ci)
+            for day, level in enumerate(scale.levels, start=1)
+            if agent.availability[day - 1]
+            for ci, cid in enumerate(cat_ids)
+            if cid in agent.eligible
+        ]
         for agent in instance.agents
     ]
-    scale = math.lcm(*(value.denominator for own in day_values for _day, value in own))
-
-    # Candidate moves per agent, best-first (days ascending = utility descending).
-    moves: list[list[tuple[int, int, int]]] = []  # (scaled utility, day, cat index)
-    for agent, own_days in zip(instance.agents, day_values):
-        own: list[tuple[int, int, int]] = []
-        for day, value in own_days:
-            scaled = value.numerator * (scale // value.denominator)
-            for cid in cat_ids:
-                if cid in agent.eligible:
-                    own.append((scaled, day, cat_index[cid]))
-        moves.append(own)
 
     optimistic = [max((value for value, _d, _c in own), default=0) for own in moves]
     tail_bound = [0] * (n_agents + 1)

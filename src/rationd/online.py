@@ -116,7 +116,7 @@ def _ranking(instance: Instance, tie_break: TieBreak) -> _Ranking:
     by_precedence = precedence(instance, tie_break)
     # The sort is stable (also reversed), so equal priorities keep the
     # precedence.
-    order = tuple(sorted(by_precedence, key=priority_keys(instance).__getitem__, reverse=True))
+    order = tuple(sorted(by_precedence, key=priority_keys(instance)[1].__getitem__, reverse=True))
     cat_ids = tuple(c.id for c in instance.categories)
     eligible = {a.id: tuple(c for c in cat_ids if c in a.eligible) for a in instance.agents}
     priorities = {a.id: a.priority for a in instance.agents}

@@ -6,13 +6,15 @@ import pytest
 
 from rationd import online
 from rationd.data import GeneratorConfig, SupplyModel, generate
-from rationd.model import Agent, Allocation, Category, Instance
+from rationd.model import Agent, Allocation, Category, Instance, utility_scale
 from rationd.offline import TieBreakOrder, solve_exact_oracle, solve_offline_model1
 from rationd.online import DayGraph, run_online
 from rationd.analysis import (
     DELAYED_SELF,
     OVERFLOW,
     SAME_DAY,
+    Charge,
+    _certify,
     _inject,
     availability_deviation_report,
     build_charging_report,
@@ -143,6 +145,30 @@ class TestChargingReport:
         assert not report.bound_certified
         assert report.failure_day == 2
         assert "'hi'" in report.failure_reason
+
+    def test_a_factor_that_is_not_the_true_ratio_names_its_charger(self):
+        # h1, h2 (1/2) are served online on day 1, l1 (1/5) and l2 (3/10)
+        # offline. Swapping the true factors 2/5 and 3/5 keeps each within
+        # its limit and their sum right, but not either charge.
+        priorities = {"h1": Fraction(1, 2), "h2": Fraction(1, 2), "l1": Fraction(1, 5), "l2": Fraction(3, 10)}
+        inst = Instance(
+            agents=tuple(Agent(a, p, (True,), frozenset({"c1"})) for a, p in priorities.items()),
+            categories=(Category("c1", (2,)),),
+            num_days=1,
+            daily_supply=(2,),
+            discount=Fraction(1, 2),
+        )
+        online_alloc = Allocation({"h1": ("c1", 1), "h2": ("c1", 1), "l1": None, "l2": None})
+        offline_alloc = Allocation({"h1": None, "h2": None, "l1": ("c1", 1), "l2": ("c1", 1)})
+
+        def certify(f1, f2):
+            charges = [Charge("l1", "h1", f1, SAME_DAY), Charge("l2", "h2", f2, SAME_DAY)]
+            return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, frozenset(), charges, False)
+
+        assert certify(Fraction(2, 5), Fraction(3, 5)).bound_certified
+        report = certify(Fraction(3, 5), Fraction(2, 5))
+        assert not report.bound_certified
+        assert "'l1'" in report.failure_reason and "'l2'" not in report.failure_reason
 
     @pytest.mark.parametrize(
         "overall, online_z, certified",

@@ -189,6 +189,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("malformed input: ") and where in err
 
+    def test_boolean_day_count_is_malformed_input(self, tmp_path, capsys):
+        document = instance_to_document(tight_model1())
+        document["num_days"] = True
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document))
+        assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert "num_days: expected int, got True" in capsys.readouterr().err
+
     def test_explicit_tie_break_order(self, capsys):
         # Preferring a1 on the tight fixture reproduces the bad run.
         assert run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "a1,a2"]) == 0

@@ -75,6 +75,12 @@ class TestInstanceFiles:
         path.write_text(json.dumps(document))
         with pytest.raises(DataFormatError, match="daily_supply"):
             read_instance(str(path))
+        # JSON's true is an int to Python, but no day count.
+        document = instance_to_document(tight_model1())
+        document["num_days"] = True
+        path.write_text(json.dumps(document))
+        with pytest.raises(DataFormatError, match="num_days: expected int, got True"):
+            read_instance(str(path))
 
     def test_version_mismatch_is_loud(self, tmp_path):
         document = instance_to_document(tight_model1())
@@ -128,6 +134,9 @@ class TestAllocationFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "kind": "allocation", "assignment": {"a1": {"day": 1}}}))
         with pytest.raises(DataFormatError, match="category"):
+            read_allocation(str(path))
+        path.write_text(json.dumps({"schema_version": 1, "kind": "allocation", "assignment": {"a1": {"category": "c1", "day": True}}}))
+        with pytest.raises(DataFormatError, match="day: expected int, got True"):
             read_allocation(str(path))
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rationd.model import (
     Agent,
@@ -18,6 +18,7 @@ from rationd.model import (
     check_allocation,
     total_utility,
     utility_of,
+    utility_scale,
     validate_instance,
 )
 
@@ -62,6 +63,10 @@ class TestValidateInstance:
         bad = Instance(inst.agents, inst.categories, 2, (1, 1), Fraction(1))
         report = validate_instance(bad)
         assert report.kinds() == {"discount"}
+
+    def test_boolean_num_days_is_flagged(self):
+        inst = Instance((), (Category("c1", (1,)),), True, (1,), Fraction(1, 2))
+        assert validate_instance(inst).kinds() == {"structure"}
 
     def test_priority_bounds_and_unknown_category(self):
         inst = Instance(
@@ -174,6 +179,28 @@ class TestUtilityOf:
         gap_now = utility_of(a_hi, day, d) - utility_of(a_lo, day, d)
         gap_later = utility_of(a_hi, day + later, d) - utility_of(a_lo, day + later, d)
         assert gap_now > gap_later
+
+
+class TestUtilityScale:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(
+        parts=st.lists(st.integers(2, 10**6).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))), max_size=6),
+        discount=st.sampled_from([Fraction(19, 20), Fraction(1, 3), Fraction(999, 1000)]),
+        num_days=st.integers(1, 40),
+    )
+    def test_integers_over_scale_are_utility_of(self, parts, discount, num_days):
+        agents = tuple(Agent(f"a{k}", Fraction(n, d), (True,) * num_days, frozenset()) for k, (n, d) in enumerate(parts))
+        scale = utility_scale(Instance(agents, (), num_days, (0,) * num_days, discount))
+        assert scale.scale > 0 and set(scale.keys) == {a.id for a in agents}
+        for agent in agents:
+            for day in range(1, num_days + 1):
+                assert Fraction(scale.utility(agent.id, day), scale.scale) == utility_of(agent.priority, day, discount)
+
+    @pytest.mark.parametrize("day", [0, -1, 3])
+    def test_total_utility_refuses_a_day_outside_the_horizon(self, day):
+        inst = two_agent_instance()
+        with pytest.raises(ValueError, match="outside 1..2"):
+            total_utility(inst, Allocation({"a1": ("c1", day), "a2": None}))
 
 
 class TestCheckAllocation:

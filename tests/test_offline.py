@@ -13,6 +13,7 @@ from rationd.model import (
     Instance,
     check_allocation,
     total_utility,
+    utility_scale,
 )
 from rationd.offline import (
     OracleBudgetExceeded,
@@ -183,7 +184,7 @@ class TestOfflineSolver:
             result = solve_profitable_flow(network)
             alloc = rmap.allocation(result.arc_flows)
             assert check_allocation(inst, alloc).ok
-            assert rmap.utility_of_cost(result.total_cost) == total_utility(inst, alloc)
+            assert Fraction(-result.total_cost, utility_scale(inst).scale) == total_utility(inst, alloc)
 
     def test_matches_enumeration_and_is_feasible_and_non_wasteful(self):
         rng = random.Random(99)

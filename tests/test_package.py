@@ -21,6 +21,19 @@ def relative_imports(module: str) -> set[str]:
     return found
 
 
+def names_used(module: str) -> set[str]:
+    """Every name ``module`` reads, imports or looks up as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
 def test_public_surface_resolves():
     for name in rationd.__all__:
         assert getattr(rationd, name) is not None
@@ -39,3 +52,11 @@ def test_modules_import_only_earlier_layers():
 def test_online_and_offline_are_independent():
     assert "offline" not in relative_imports("online")
     assert "online" not in relative_imports("offline")
+
+
+def test_only_model_scales_utilities():
+    # Exact utilities come from one place, model.utility_scale; every other
+    # module reads its integers instead of scaling Fractions itself.
+    for module in LAYERS:
+        if module != "model":
+            assert not {"lcm", "utility_of"} & names_used(module), module
