@@ -48,7 +48,6 @@ from .analysis import (
     build_charging_report,
     competitive_ratio,
     compute_metrics,
-    day_matchings,
     max_matching_size,
     model1_bound,
     model2_bound,
@@ -101,7 +100,6 @@ __all__ = [
     "check_allocation",
     "competitive_ratio",
     "compute_metrics",
-    "day_matchings",
     "generate",
     "load_fixture",
     "max_matching_size",

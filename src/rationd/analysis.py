@@ -86,14 +86,6 @@ def competitive_ratio(
     return opt / alg
 
 
-def day_matchings(alloc: Allocation) -> dict[int, dict[str, str]]:
-    """Split an allocation into per-day {agent: category} matchings."""
-    by_day: dict[int, dict[str, str]] = defaultdict(dict)
-    for agent_id, cat_id, day in alloc.matched():
-        by_day[day][agent_id] = cat_id
-    return dict(by_day)
-
-
 # ---------------------------------------------------------------------------
 # Charging certificate
 
@@ -439,17 +431,28 @@ class MetricsSeries:
     days: tuple[Mapping[str, GroupDayStats], ...]
 
 
+def check_group_labels(labels: Iterable[str]) -> None:
+    """Raise ValueError naming the first of ``labels`` that cannot name a
+    coverage-metrics group: "all" names the aggregate row, and a CSV row
+    cannot hold a comma or a newline."""
+    for label in labels:
+        if label == "all":
+            raise ValueError(f"group label {label!r} is reserved for the aggregate row")
+        if "," in label or "\n" in label:
+            raise ValueError(f"group label {label!r} cannot be written to CSV")
+
+
 def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
     """Reachable vs. served counts by day and priority group.
 
     An agent is reachable on day ``j`` once available on some day ``<= j``
     on which an eligible category had capacity left (daily quota, clipped by
     the overall quota remaining under this very allocation). Unlabelled
-    agents count toward "all" only.
+    agents count toward "all" only. Raises ValueError for a label that
+    :func:`check_group_labels` refuses.
     """
-    if any(a.group == "all" for a in instance.agents):
-        raise ValueError('group label "all" is reserved for the aggregate row')
     labels = sorted({a.group for a in instance.agents if a.group is not None})
+    check_group_labels(labels)
 
     categories = instance.category_map()
     consumed_before: dict[str, list[int]] = {

@@ -214,6 +214,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     model2 = args.model2
     _require_model(instance, model2, "compare")
+    if args.metrics_dir:
+        try:
+            analysis.check_group_labels(a.group for a in instance.agents if a.group is not None)
+        except ValueError as exc:
+            print(f"cannot compare: --metrics-dir: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
     started = time.perf_counter()
     online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
@@ -352,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", required=True, choices=["offline1", "online1", "online2", "oracle", "oracle2"])
     p_solve.add_argument("--out", help="allocation file to write")
     p_solve.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence; not for the oracles")
-    p_solve.add_argument("--budget", type=int, default=1_000_000, help="oracle search budget")
+    p_solve.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
     p_solve.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("instance", help="instance file")
     p_compare.add_argument("--model2", action="store_true", help="enforce overall quotas (offline side uses the oracle)")
     p_compare.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence for the online run")
-    p_compare.add_argument("--budget", type=int, default=1_000_000, help="oracle search budget")
+    p_compare.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
     p_compare.add_argument("--metrics-dir", help="directory for coverage metric CSVs")
     p_compare.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")
     p_compare.set_defaults(func=cmd_compare)
@@ -369,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("instance", help="instance file")
     p_verify.add_argument("--model2", action="store_true")
     p_verify.add_argument("--allocation", help="also feasibility-check this allocation file")
-    p_verify.add_argument("--budget", type=int, default=1_000_000, help="oracle search budget")
+    p_verify.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
     p_verify.add_argument("--seed", type=int, default=0, help="seed that picks the agents to probe for deviations")
     p_verify.add_argument(
         "--deviation-agents", type=_count, default=4, help="how many agents to probe for deviations (>= 0)"

@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any, Mapping
 
-from .analysis import MetricsSeries
+from .analysis import MetricsSeries, check_group_labels
 from .model import Agent, Allocation, Category, Instance
 
 SCHEMA_VERSION = 1
@@ -341,8 +341,7 @@ class GeneratorConfig:
                 raise ValueError(f"group {spec.label!r} weight must be positive")
             if not (0 < spec.priority < 1):
                 raise ValueError(f"group {spec.label!r} priority must lie strictly in (0, 1)")
-            if spec.label == "all":
-                raise ValueError('group label "all" is reserved')
+        check_group_labels(spec.label for spec in self.group_specs)
         if not (0 < self.discount < 1):
             raise ValueError("discount must lie strictly in (0, 1)")
         sm = self.supply_model
@@ -526,11 +525,10 @@ def export_metrics(series: MetricsSeries, path: str) -> None:
     One row per (day, group) plus an "all" row per day; days ascending,
     group labels in lexicographic order.
     """
+    check_group_labels(series.groups)
     lines = ["day,group,gamma,eta,fraction_unvaccinated,matched_today,cumulative_utility"]
     for day, row in enumerate(series.days, start=1):
         for label in sorted(row):
-            if "," in label or "\n" in label:
-                raise ValueError(f"group label {label!r} cannot be written to CSV")
             stats = row[label]
             lines.append(
                 ",".join(

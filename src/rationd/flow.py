@@ -1,9 +1,9 @@
 """Integer min-cost flow via successive shortest augmenting paths.
 
-The solver answers one question: among all integral flows of value at most
-``flow_cap``, which one has minimum total cost? It augments along cheapest
-residual source-to-sink paths while those paths have strictly negative cost,
-so zero-profit flow is never pushed. Costs are exact integers (arbitrary
+The solver answers one question: among all integral flows, of any value,
+which one has minimum total cost? It augments along cheapest residual
+source-to-sink paths while those paths have strictly negative cost, so
+zero-profit flow is never pushed. Costs are exact integers (arbitrary
 precision); callers scale rational weights to integers before building a
 network.
 
@@ -107,18 +107,14 @@ def _initial_potentials(n: int, adj: list[list[int]], head: list[int], cap: list
     return [0 if d is None else d for d in dist]
 
 
-def solve_profitable_flow(network: FlowNetwork, flow_cap: int | None = None) -> FlowResult:
-    """Minimum-cost integral flow of value at most ``flow_cap``.
+def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
+    """Minimum-cost integral flow, of whatever value that takes.
 
-    ``flow_cap=None`` means unbounded. Augmentation stops as soon as the
-    cheapest residual path cost is non-negative, so the result minimizes
-    cost over *all* flows within the cap and carries no zero-cost padding.
-    Raises :class:`NegativeCycleError` for networks with a reachable
-    negative-cost cycle.
+    Augmentation stops as soon as the cheapest residual path cost is
+    non-negative, so the result minimizes cost over *all* flows and carries
+    no zero-cost padding. Raises :class:`NegativeCycleError` for networks
+    with a reachable negative-cost cycle.
     """
-    if flow_cap is not None and flow_cap < 0:
-        raise ValueError("flow_cap must be non-negative or None")
-
     n = network.num_nodes
     m = len(network.arcs)
     source, sink = network.source, network.sink
@@ -138,9 +134,6 @@ def solve_profitable_flow(network: FlowNetwork, flow_cap: int | None = None) -> 
         cost[2 * i + 1] = -arc.cost
         adj[arc.head].append(2 * i + 1)
 
-    if flow_cap == 0:
-        return FlowResult(tuple([0] * m), 0, 0)
-
     if any(arc.cost < 0 for arc in network.arcs):
         potential = _initial_potentials(n, adj, head, cap, cost, source)
     else:
@@ -150,7 +143,7 @@ def solve_profitable_flow(network: FlowNetwork, flow_cap: int | None = None) -> 
     total_cost = 0
     unreached = object()
 
-    while flow_cap is None or total_flow < flow_cap:
+    while True:
         # Dijkstra on reduced costs; stops once the sink is settled.
         dist: list = [unreached] * n
         dist[source] = 0
@@ -191,8 +184,7 @@ def solve_profitable_flow(network: FlowNetwork, flow_cap: int | None = None) -> 
             else:
                 potential[v] += sink_dist
 
-        budget = None if flow_cap is None else flow_cap - total_flow
-        pushed = _blocking_flow(n, adj, head, cap, cost, potential, source, sink, budget)
+        pushed = _blocking_flow(n, adj, head, cap, cost, potential, source, sink)
         if pushed == 0:
             break
         total_flow += pushed
@@ -211,7 +203,6 @@ def _blocking_flow(
     potential: list[int],
     source: int,
     sink: int,
-    budget: int | None,
 ) -> int:
     """Push as much flow as possible through zero-reduced-cost residual arcs.
 
@@ -223,7 +214,7 @@ def _blocking_flow(
         return cap[e] > 0 and cost[e] + potential[u] - potential[head[e]] == 0
 
     pushed_total = 0
-    while budget is None or pushed_total < budget:
+    while True:
         level = [-1] * n
         level[source] = 0
         queue: deque[int] = deque([source])
@@ -242,19 +233,16 @@ def _blocking_flow(
         path: list[int] = []
         progressed = False
         node = source
-        while budget is None or pushed_total < budget:
+        while True:
             if node == sink:
                 bottleneck = min(cap[e] for e in path)
-                if budget is not None:
-                    bottleneck = min(bottleneck, budget - pushed_total)
                 for e in path:
                     cap[e] -= bottleneck
                     cap[e ^ 1] += bottleneck
                 pushed_total += bottleneck
                 progressed = True
-                if budget is not None and pushed_total >= budget:
-                    break
-                # Restart the walk from just before the first saturated hop.
+                # Restart the walk from just before the first saturated hop
+                # (pushing the bottleneck saturates at least one).
                 cut = next(i for i, e in enumerate(path) if cap[e] == 0)
                 del path[cut:]
                 node = head[path[-1]] if path else source

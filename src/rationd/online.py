@@ -13,16 +13,17 @@ categories in instance order, and the matcher passes over closed ones. The
 edge list (``DayGraph.edges``) is derived on request for the independent
 checkers; the matcher never builds it.
 
-Every edge of one agent carries the same weight, ``priority *
-discount**(day - 1)``, and the day's supply truncates, so the sets of agents
-that can be matched together on one day form a truncated transversal
-matroid. A maximum-weight matching is therefore found greedily: candidates
-are tried in order of priority (highest first, ties by precedence) and each
-is kept when one augmenting-path search over the categories and their
-capacities fits it in, until the supply is used up. With positive weights
-the kept set is also of maximum cardinality, which the analysis machinery
-re-checks independently. The order is computed once per run with integer
-keys; it serves every day because a day's weights share the factor
+Every edge of one agent is worth the same, ``priority * discount**(day -
+1)``, and the day's supply truncates, so the sets of agents that can be
+matched together on one day form a truncated transversal matroid. A
+maximum-weight matching is therefore found greedily, and the matcher reads
+an order, not weights: candidates come in ``DayGraph.agents`` order
+(priority highest first, ties by ``DayGraph.precedence``) and each is kept
+when one augmenting-path search over the categories and their capacities
+fits it in, until the supply is used up. With positive weights the kept set
+is also of maximum cardinality, which the analysis machinery re-checks
+independently. The order is computed once per run with integer keys; it
+serves every day because a day's weights share the factor
 ``discount**(day - 1)``.
 
 Ties fall to agents earlier in the precedence, then to earlier-listed
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, Sequence
 
 # Not called here. ``perfbench/spans.py`` wraps this name on this module to
@@ -57,9 +57,9 @@ class DayGraph:
 
     ``agents`` lists the candidates in the order the matcher tries them:
     priority descending, then ``precedence`` (position in the tie-break
-    order; lower wins). ``base_weights`` maps at least every candidate to
-    its priority. ``capacities`` maps each category open today to its
-    capacity, in instance order; a category missing from it is closed today.
+    order; lower wins); the matcher reads this order and no weights.
+    ``capacities`` maps each category open today to its capacity, in
+    instance order; a category missing from it is closed today.
     ``eligible`` maps at least every candidate to all its eligible
     categories in instance order, closed ones included; every day graph of
     one run shares the same mapping. ``edges`` and ``categories`` are
@@ -69,8 +69,6 @@ class DayGraph:
     day_index: int
     size_cap: int
     agents: tuple[str, ...]
-    base_weights: Mapping[str, Fraction]
-    discount: Fraction
     capacities: Mapping[str, int]
     eligible: Mapping[str, tuple[str, ...]]
     precedence: Mapping[str, int]
@@ -85,14 +83,6 @@ class DayGraph:
         """Every (candidate, eligible category open today) pair."""
         return tuple((a, c) for a in self.agents for c in self.eligible[a] if c in self.capacities)
 
-    @property
-    def day_factor(self) -> Fraction:
-        return self.discount ** (self.day_index - 1)
-
-    def weight(self, agent_id: str) -> Fraction:
-        """Edge weight for this agent; equal across all its edges."""
-        return self.base_weights[agent_id] * self.day_factor
-
 
 @dataclass(frozen=True)
 class DayTrace:
@@ -103,12 +93,11 @@ class DayTrace:
 @dataclass(frozen=True)
 class _Ranking:
     """What every day graph of one run reads: the greedy order, each
-    agent's precedence position, priority and eligible categories (in
-    instance order)."""
+    agent's precedence position and eligible categories (in instance
+    order)."""
 
     order: tuple[str, ...]
     precedence: Mapping[str, int]
-    priorities: Mapping[str, Fraction]
     eligible: Mapping[str, tuple[str, ...]]
 
 
@@ -119,8 +108,7 @@ def _ranking(instance: Instance, tie_break: TieBreak) -> _Ranking:
     order = tuple(sorted(by_precedence, key=priority_keys(instance)[1].__getitem__, reverse=True))
     cat_ids = tuple(c.id for c in instance.categories)
     eligible = {a.id: tuple(c for c in cat_ids if c in a.eligible) for a in instance.agents}
-    priorities = {a.id: a.priority for a in instance.agents}
-    return _Ranking(order, {a: i for i, a in enumerate(by_precedence)}, priorities, eligible)
+    return _Ranking(order, {a: i for i, a in enumerate(by_precedence)}, eligible)
 
 
 def _day_graph(
@@ -141,8 +129,6 @@ def _day_graph(
         day_index=day_index,
         size_cap=instance.daily_supply[day_index - 1],
         agents=candidates,
-        base_weights=ranking.priorities,
-        discount=instance.discount,
         capacities=capacities,
         eligible=ranking.eligible,
         precedence=ranking.precedence,

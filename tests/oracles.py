@@ -71,8 +71,8 @@ def best_utility(instance: Instance, model2: bool = False) -> Fraction:
     return max(allocation_value(instance, a) for a in iter_allocations(instance, model2))
 
 
-def min_cost_by_enumeration(network: FlowNetwork, flow_cap: int | None) -> int:
-    """Minimum cost over every conserving integral flow of value <= cap."""
+def min_cost_by_enumeration(network: FlowNetwork) -> int:
+    """Minimum cost over every conserving integral flow."""
     best = 0
     ranges = [range(a.capacity + 1) for a in network.arcs]
     for combo in itertools.product(*ranges):
@@ -83,7 +83,7 @@ def min_cost_by_enumeration(network: FlowNetwork, flow_cap: int | None) -> int:
         if any(balance[v] != 0 for v in range(network.num_nodes) if v not in (network.source, network.sink)):
             continue
         value = balance[network.source]
-        if value < 0 or (flow_cap is not None and value > flow_cap):
+        if value < 0:
             continue
         cost = sum(units * arc.cost for units, arc in zip(combo, network.arcs))
         if cost < best:
@@ -138,8 +138,16 @@ def flat_offline_allocation(instance: Instance, order: tuple[str, ...] | None = 
     return Allocation(assignment)
 
 
-def best_day_matching(graph: DayGraph) -> tuple[Fraction, int]:
-    """(max weight, max size) over all capped matchings of a day graph."""
+def day_weights(instance: Instance, day: int) -> dict[str, Fraction]:
+    """Each agent's weight on ``day``, from the instance:
+    ``priority * discount**(day - 1)``."""
+    return {a.id: a.priority * instance.discount ** (day - 1) for a in instance.agents}
+
+
+def best_day_matching(instance: Instance, graph: DayGraph) -> tuple[Fraction, int]:
+    """(max weight, max size) over all capped matchings of a day graph of
+    ``instance``."""
+    weights = day_weights(instance, graph.day_index)
     best_weight = Fraction(0)
     best_size = 0
     edges = list(graph.edges)
@@ -151,21 +159,24 @@ def best_day_matching(graph: DayGraph) -> tuple[Fraction, int]:
             per_cat = Counter(c for _a, c in subset)
             if any(count > graph.capacities.get(c, 0) for c, count in per_cat.items()):
                 continue
-            weight = sum((graph.weight(a) for a, _c in subset), Fraction(0))
+            weight = sum((weights[a] for a, _c in subset), Fraction(0))
             best_weight = max(best_weight, weight)
             best_size = max(best_size, r)
     return best_weight, best_size
 
 
-def lex_first_day_matching(graph: DayGraph) -> frozenset[tuple[str, str]]:
-    """The tie-broken day matching, by enumeration.
+def lex_first_day_matching(instance: Instance, graph: DayGraph) -> frozenset[tuple[str, str]]:
+    """The tie-broken day matching of a day graph of ``instance``, by
+    enumeration.
 
     Among the agent sets that fit (at most ``size_cap`` agents, a seating
-    within the capacities), take those of maximum weight; of these, the set
-    that holds the agent earliest in ``graph.precedence`` where two sets
-    differ; then the seating whose categories, read in precedence order,
-    come first by their position in ``graph.categories``.
+    within the capacities), take those of maximum weight (by
+    :func:`day_weights`); of these, the set that holds the agent earliest in
+    ``graph.precedence`` where two sets differ; then the seating whose
+    categories, read in precedence order, come first by their position in
+    ``graph.categories``.
     """
+    weights = day_weights(instance, graph.day_index)
     ranked = sorted(graph.agents, key=lambda a: graph.precedence[a])
     edges = set(graph.edges)
     options = {a: [c for c in graph.categories if (a, c) in edges] for a in ranked}
@@ -185,7 +196,7 @@ def lex_first_day_matching(graph: DayGraph) -> frozenset[tuple[str, str]]:
             seating = first_seating(subset)
             if seating is None:
                 continue
-            weight = sum((graph.weight(a) for a in subset), Fraction(0))
+            weight = sum((weights[a] for a in subset), Fraction(0))
             key = (weight, tuple(a in subset for a in ranked))
             if best_key is None or key > best_key:
                 best_key = key

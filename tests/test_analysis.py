@@ -547,8 +547,6 @@ class TestMaxMatchingSize:
             day_index=1,
             size_cap=rng.randint(0, 20),
             agents=agents,
-            base_weights={a: Fraction(1, 2) for a in agents},
-            discount=Fraction(1, 2),
             capacities={c: rng.randint(0, 6) for c in categories},
             eligible=eligible,
             precedence={a: i for i, a in enumerate(agents)},
@@ -574,8 +572,6 @@ class TestMaxMatchingSize:
             day_index=1,
             size_cap=2,
             agents=("a1", "a2"),
-            base_weights={"a1": Fraction(1), "a2": Fraction(1)},
-            discount=Fraction(1, 2),
             capacities={"c1": 1, "c2": 1},
             eligible={"a1": ("c1", "c2"), "a2": ("c1",)},
             precedence={"a1": 0, "a2": 1},

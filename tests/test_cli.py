@@ -293,6 +293,21 @@ class TestCompare:
         assert (metrics / "metrics_online.csv").exists()
         assert (metrics / "metrics_offline.csv").exists()
 
+    @pytest.mark.parametrize("label", ["all", "x,y", "x\ny"], ids=["reserved-all", "comma", "newline"])
+    def test_unexportable_group_label_is_refused_before_any_step(self, tmp_path, capsys, label):
+        document = instance_to_document(tight_model1())
+        document["agents"][0]["group"] = label
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document))
+        metrics = tmp_path / "metrics"
+        assert run(["compare", str(path), "--metrics-dir", str(metrics)]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot compare: ")
+        assert repr(label) in captured.err and "--metrics-dir" in captured.err
+        assert "Traceback" not in captured.err
+        assert not metrics.exists()
+
 
 # Parses, but products of it pass the interpreter's 4,300-digit limit on
 # turning an int into text.
@@ -430,6 +445,14 @@ class TestVerify:
     def test_zero_deviation_agents_probes_nobody(self, capsys):
         assert run(["verify", TIGHT_M1, "--deviation-agents", "0"]) == 0
         assert "under-reports" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "oracle"], ["compare"], ["verify"]])
+def test_negative_budget_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command[0], TIGHT_M1, *command[1:], "--budget", "-3"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,10 +13,10 @@ from rationd.online import (
     run_online,
     run_online_with_trace,
 )
-from rationd.analysis import day_matchings, max_matching_size, model1_bound, model2_bound
+from rationd.analysis import max_matching_size, model1_bound, model2_bound
 
 from helpers import random_instance, tight_general, tight_model1
-from oracles import best_day_matching, lex_first_day_matching
+from oracles import best_day_matching, day_weights, lex_first_day_matching
 
 
 def fresh_graph(instance, day=1, tie_break=None):
@@ -29,7 +30,7 @@ class TestBuildDayGraph:
         graph = fresh_graph(inst)
         assert set(graph.agents) == {"a1", "a2"}
         assert set(graph.edges) == {("a1", "c1"), ("a1", "c2"), ("a2", "c2")}
-        assert graph.weight("a1") == graph.weight("a2") == Fraction(1, 2)
+        assert day_weights(inst, graph.day_index)["a1"] == day_weights(inst, graph.day_index)["a2"] == Fraction(1, 2)
         assert graph.size_cap == 1
 
     def test_no_available_agents(self):
@@ -54,8 +55,8 @@ class TestBuildDayGraph:
     def test_discount_factor_matches_day(self):
         inst = tight_model1()
         graph = build_day_graph(inst, 2, {"a1"})
-        assert graph.day_factor == Fraction(19, 20)
-        assert graph.weight("a1") == Fraction(1, 2) * Fraction(19, 20)
+        assert graph.day_index == 2 and graph.agents == ("a1",)
+        assert day_weights(inst, graph.day_index)["a1"] == Fraction(1, 2) * Fraction(19, 20)
 
 
 class TestDayMatching:
@@ -64,7 +65,7 @@ class TestDayMatching:
         graph = fresh_graph(inst)
         matched = max_weight_capped_bmatching(graph)
         assert len(matched) == 1
-        assert sum(graph.weight(a) for a, _c in matched) == Fraction(1, 2)
+        assert sum(day_weights(inst, 1)[a] for a, _c in matched) == Fraction(1, 2)
 
     def test_empty_graph(self):
         inst = tight_model1()
@@ -93,8 +94,8 @@ class TestDayMatching:
             inst = random_instance(rng, max_agents=5, max_days=2, max_cats=3, max_cap=2)
             graph = fresh_graph(inst)
             matched = max_weight_capped_bmatching(graph)
-            weight = sum((graph.weight(a) for a, _c in matched), Fraction(0))
-            best_weight, best_size = best_day_matching(graph)
+            weight = sum((day_weights(inst, 1)[a] for a, _c in matched), Fraction(0))
+            best_weight, best_size = best_day_matching(inst, graph)
             assert weight == best_weight
             # Equal-weight edges per agent make the optimum maximum-size too.
             assert len(matched) == best_size
@@ -157,7 +158,7 @@ class TestDayMatching:
         assert graph.categories == ("c1", "c2")
         assert graph.eligible["a0"] == ("c0", "c1", "c2")
         matched = max_weight_capped_bmatching(graph)
-        assert matched == lex_first_day_matching(graph) == {("a0", "c2"), ("a1", "c1"), ("a2", "c1")}
+        assert matched == lex_first_day_matching(inst, graph) == {("a0", "c2"), ("a1", "c1"), ("a2", "c1")}
 
     def test_matches_lexicographic_enumeration_on_random_day_graphs(self):
         # Few distinct priorities, so weight ties are common.
@@ -177,7 +178,7 @@ class TestDayMatching:
             if rng.random() < 0.5:
                 remaining = {c.id: rng.randint(0, 3) for c in inst.categories}
             graph = build_day_graph(inst, day, pool, remaining, tie_break=TieBreakOrder(tuple(order)))
-            assert max_weight_capped_bmatching(graph) == lex_first_day_matching(graph)
+            assert max_weight_capped_bmatching(graph) == lex_first_day_matching(inst, graph)
 
 
 class TestRunOnline:
@@ -248,15 +249,14 @@ class TestRunOnline:
             inst = random_instance(rng)
             online_alloc = run_online(inst)
             offline_alloc = solve_offline_model1(inst)
-            online_days = day_matchings(online_alloc)
-            offline_days = day_matchings(offline_alloc)
-            for day, offline_matched in offline_days.items():
-                type2 = {
-                    a
-                    for a in offline_matched
-                    if online_alloc.day_of(a) is None or online_alloc.day_of(a) >= day
-                }
-                assert len(type2) <= len(online_days.get(day, {}))
+            online_days = Counter(day for _a, _c, day in online_alloc.matched())
+            type2_days = Counter(
+                day
+                for a, _c, day in offline_alloc.matched()
+                if online_alloc.day_of(a) is None or online_alloc.day_of(a) >= day
+            )
+            for day, type2 in type2_days.items():
+                assert type2 <= online_days[day]
 
     def test_competitive_bounds_on_random_instances(self):
         rng = random.Random(4242)
@@ -323,6 +323,6 @@ class TestRunOnline:
             day = rng.randint(1, inst.num_days)
             graph = fresh_graph(inst, day)
             matched = max_weight_capped_bmatching(graph)
-            full_weight = sum((graph.weight(a) for a, _c in matched), Fraction(0))
-            best_full, _ = best_day_matching(graph)
+            full_weight = sum((day_weights(inst, day)[a] for a, _c in matched), Fraction(0))
+            best_full, _ = best_day_matching(inst, graph)
             assert full_weight == best_full
