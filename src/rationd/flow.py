@@ -7,12 +7,18 @@ zero-profit flow is never pushed. Costs are exact integers (arbitrary
 precision); callers scale rational weights to integers before building a
 network.
 
-Potentials keep reduced costs non-negative after the first iteration, which
-uses a label-correcting pass to absorb negative arc costs (and to reject
-networks containing a negative-cost cycle). Augmentation is batched: after
-each shortest-path computation a blocking flow is pushed through the
-zero-reduced-cost subgraph, so large assignment-shaped networks need one
-Dijkstra per distinct path-cost level rather than one per unit of flow.
+Each round runs one shortest-path search and pushes the bottleneck along
+the path it found. The first round's search is label correcting: it takes
+negative arc costs, rejects networks containing a negative-cost cycle and
+sets the node potentials that keep reduced costs non-negative, so every
+later search is a Dijkstra search. Once a search returns the same path cost
+as the round before, the network has shown a cost level that holds more
+than one path; from then on every round also drains its level with a
+blocking flow through the zero-reduced-cost subgraph. So a network whose
+path costs are all distinct takes one search per unit of flow and never
+builds a level graph, and one whose levels hold many paths takes one search
+per distinct path cost plus at most two: the search that first repeats a
+cost and the last, which finds no profitable path.
 """
 
 from __future__ import annotations
@@ -72,16 +78,24 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """A solved flow; ``rounds`` counts the shortest-path searches it took,
+    the last of which found no profitable path (none run when no arc has a
+    negative cost)."""
+
     arc_flows: tuple[int, ...]
     total_flow: int
     total_cost: int
+    rounds: int
 
 
-def _initial_potentials(n: int, adj: list[list[int]], head: list[int], cap: list[int], cost: list[int], source: int) -> list[int]:
-    # Label-correcting (SPFA). A shortest path is simple, so any tentative
-    # path of n or more arcs certifies a negative cycle.
-    INF = None
-    dist: list[int | None] = [INF] * n
+def _first_search(
+    n: int, adj: list[list[int]], head: list[int], cap: list[int], cost: list[int], source: int, pred: list[int]
+) -> list[int | None]:
+    """Shortest distances from the source, by label correcting (SPFA), which
+    takes negative arc costs; records each node's predecessor arc. A
+    shortest path is simple, so any tentative path of n or more arcs
+    certifies a negative cycle."""
+    dist: list[int | None] = [None] * n
     dist[source] = 0
     hops = [0] * n
     in_queue = [False] * n
@@ -98,13 +112,14 @@ def _initial_potentials(n: int, adj: list[list[int]], head: list[int], cap: list
             nd = du + cost[e]
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
+                pred[v] = e
                 hops[v] = hops[u] + 1
                 if hops[v] >= n:
                     raise NegativeCycleError("negative-cost cycle reachable from the source")
                 if not in_queue[v]:
                     queue.append(v)
                     in_queue[v] = True
-    return [0 if d is None else d for d in dist]
+    return dist
 
 
 def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
@@ -118,6 +133,9 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
     n = network.num_nodes
     m = len(network.arcs)
     source, sink = network.source, network.sink
+    if not any(arc.cost < 0 for arc in network.arcs):
+        # Without a negative arc no path is profitable; no search runs.
+        return FlowResult((0,) * m, 0, 0, 0)
 
     # Residual arcs: 2*i forward, 2*i + 1 backward.
     head = [0] * (2 * m)
@@ -134,64 +152,75 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
         cost[2 * i + 1] = -arc.cost
         adj[arc.head].append(2 * i + 1)
 
-    if any(arc.cost < 0 for arc in network.arcs):
-        potential = _initial_potentials(n, adj, head, cap, cost, source)
-    else:
-        potential = [0] * n
-
+    # The first round's search also sets the potentials: exact distances
+    # from the source make every residual arc's reduced cost non-negative
+    # and those of every shortest path zero.
+    pred = [-1] * n
+    first = _first_search(n, adj, head, cap, cost, source, pred)
+    potential = [0 if d is None else d for d in first]
+    path_cost = first[sink]
+    rounds = 1
     total_flow = 0
     total_cost = 0
-    unreached = object()
+    last_cost = None
+    drain = False
+    # Infinity compares above every int, however large.
+    unreached = float("inf")
 
-    while True:
-        # Dijkstra on reduced costs; stops once the sink is settled.
-        dist: list = [unreached] * n
-        dist[source] = 0
-        settled = [False] * n
-        heap: list[tuple[int, int]] = [(0, source)]
-        sink_dist = None
-        while heap:
-            d, u = heapq.heappop(heap)
-            if settled[u]:
-                continue
-            settled[u] = True
-            if u == sink:
-                sink_dist = d
-                break
-            pu = potential[u]
-            for e in adj[u]:
-                if cap[e] <= 0:
-                    continue
-                v = head[e]
-                if settled[v]:
-                    continue
-                nd = d + cost[e] + pu - potential[v]
-                if dist[v] is unreached or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        if sink_dist is None:
-            break
-        # Cost of the cheapest residual path in original costs.
-        path_cost = sink_dist + potential[sink] - potential[source]
-        if path_cost >= 0:
-            break
-        # Settled nodes got their exact distance; everything else is at
-        # least as far as the sink, so capping at sink_dist keeps reduced
-        # costs non-negative.
-        for v in range(n):
-            if settled[v] and dist[v] is not unreached:
-                potential[v] += dist[v] if dist[v] < sink_dist else sink_dist
-            else:
-                potential[v] += sink_dist
-
-        pushed = _blocking_flow(n, adj, head, cap, cost, potential, source, sink)
-        if pushed == 0:
-            break
+    while path_cost is not None and path_cost < 0:
+        path = []
+        v = sink
+        while v != source:
+            e = pred[v]
+            path.append(e)
+            v = head[e ^ 1]
+        pushed = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        # Two searches in a row at one cost show levels that hold several
+        # paths; draining a level costs a level graph, so start only then.
+        drain = drain or path_cost == last_cost
+        last_cost = path_cost
+        if drain:
+            pushed += _blocking_flow(n, adj, head, cap, cost, potential, source, sink)
         total_flow += pushed
         total_cost += pushed * path_cost
 
-    flows = tuple(cap[2 * i + 1] for i in range(m))
-    return FlowResult(flows, total_flow, total_cost)
+        # Dijkstra on reduced costs, recording each node's predecessor arc;
+        # stops once the sink is settled. Reduced costs are non-negative, so
+        # an arc into a settled node never improves its distance.
+        rounds += 1
+        dist: list = [unreached] * n
+        dist[source] = 0
+        heap: list[tuple[int, int]] = [(0, source)]
+        path_cost = None
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == sink:
+                # Cost of the cheapest residual path in original costs.
+                path_cost = d + potential[sink] - potential[source]
+                # Nodes nearer than the sink were settled with their exact
+                # distance; everything else is at least as far as the sink,
+                # so capping at d keeps reduced costs non-negative. Every
+                # arc of the path found now has reduced cost zero.
+                if path_cost < 0:
+                    potential = [p + (x if x < d else d) for p, x in zip(potential, dist)]
+                break
+            base = d + potential[u]
+            for e in adj[u]:
+                if cap[e] > 0:
+                    v = head[e]
+                    nd = base + cost[e] - potential[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        pred[v] = e
+                        heapq.heappush(heap, (nd, v))
+
+    flows = tuple(cap[1::2])
+    return FlowResult(flows, total_flow, total_cost, rounds)
 
 
 def _blocking_flow(
@@ -209,29 +238,45 @@ def _blocking_flow(
     Every source-to-sink path in this subgraph has the same original cost,
     so the caller can account cost per unit pushed.
     """
-
-    def admissible(u: int, e: int) -> bool:
-        return cap[e] > 0 and cost[e] + potential[u] - potential[head[e]] == 0
-
+    # Each node's zero-reduced-cost arcs, found when the node is first
+    # visited. Potentials stay fixed here, and an arc's reverse has reduced
+    # cost zero when it has, so pushing flow changes only which of these
+    # arcs have capacity.
+    tight: list[list[int] | None] = [None] * n
     pushed_total = 0
     while True:
+        # Level graph by BFS, up to the sink's level; the other nodes on
+        # that level cannot lead to the sink.
         level = [-1] * n
         level[source] = 0
-        queue: deque[int] = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in adj[u]:
-                v = head[e]
-                if level[v] < 0 and admissible(u, e):
-                    level[v] = level[u] + 1
-                    queue.append(v)
+        frontier = [source]
+        depth = 0
+        while frontier and level[sink] < 0:
+            depth += 1
+            reached = []
+            for u in frontier:
+                arcs = tight[u]
+                if arcs is None:
+                    pu = potential[u]
+                    arcs = tight[u] = [e for e in adj[u] if cost[e] + pu == potential[head[e]]]
+                for e in arcs:
+                    if cap[e] > 0:
+                        v = head[e]
+                        if level[v] < 0:
+                            level[v] = depth
+                            reached.append(v)
+            frontier = reached
         if level[sink] < 0:
-            break
+            return pushed_total
+        for v in frontier:
+            if v != sink:
+                level[v] = -1
 
-        # Iterative advance/retreat search over the level graph.
-        iters = [0] * n
+        # Advance/retreat search over the level graph. A node comes back to
+        # the top of the path only when its path arc saturated or led to a
+        # dead end, so its scan resumes after that arc.
+        scans: list = [None] * n
         path: list[int] = []
-        progressed = False
         node = source
         while True:
             if node == sink:
@@ -240,32 +285,24 @@ def _blocking_flow(
                     cap[e] -= bottleneck
                     cap[e ^ 1] += bottleneck
                 pushed_total += bottleneck
-                progressed = True
                 # Restart the walk from just before the first saturated hop
                 # (pushing the bottleneck saturates at least one).
                 cut = next(i for i, e in enumerate(path) if cap[e] == 0)
                 del path[cut:]
                 node = head[path[-1]] if path else source
                 continue
-            advanced = False
-            while iters[node] < len(adj[node]):
-                e = adj[node][iters[node]]
-                v = head[e]
-                if level[v] == level[node] + 1 and admissible(node, e):
+            scan = scans[node]
+            if scan is None:
+                scan = scans[node] = iter(tight[node])
+            next_level = level[node] + 1
+            for e in scan:
+                if cap[e] > 0 and level[head[e]] == next_level:
                     path.append(e)
-                    node = v
-                    advanced = True
+                    node = head[e]
                     break
-                iters[node] += 1
-            if advanced:
-                continue
-            # Dead end: prune the node and step back.
-            level[node] = -1
-            if not path:
-                break
-            e = path.pop()
-            node = head[e ^ 1]
-            iters[node] += 1
-        if not progressed:
-            break
-    return pushed_total
+            else:
+                # Dead end: prune the node and step back.
+                level[node] = -1
+                if not path:
+                    break
+                node = head[path.pop() ^ 1]

@@ -86,3 +86,23 @@ def random_instance(
     supply = tuple(rng.randint(0, max_cap) for _ in range(n_days))
     discount = Fraction(rng.randint(1, 19), 20)
     return Instance(agents, categories, n_days, supply, discount)
+
+
+def tie_heavy_instance(rng: random.Random, n_agents: int, n_days: int, max_cap: int = 3) -> Instance:
+    """A random instance whose utilities take few values (priorities in {1/8,
+    1/4, 1/2}, discount 1/2), so many allocations tie."""
+    priorities = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+    categories = tuple(
+        Category(f"c{i}", tuple(rng.randint(0, max_cap) for _ in range(n_days))) for i in range(rng.randint(1, 3))
+    )
+    agents = tuple(
+        Agent(
+            f"a{k}",
+            rng.choice(priorities),
+            tuple(rng.random() < 0.5 for _ in range(n_days)),
+            frozenset(c.id for c in categories if rng.random() < 0.7),
+        )
+        for k in range(n_agents)
+    )
+    supply = tuple(rng.randint(1, 2 * max_cap) for _ in range(n_days))
+    return Instance(agents, categories, n_days, supply, Fraction(1, 2))

@@ -91,6 +91,42 @@ def min_cost_by_enumeration(network: FlowNetwork) -> int:
     return best
 
 
+def unit_path_costs(network: FlowNetwork) -> list[int]:
+    """The cost of each unit a min-cost profitable flow carries, in order.
+
+    Pushes one unit at a time along a cheapest residual path, found by
+    Bellman-Ford, while that path costs less than zero. The minimum cost of
+    a flow of value k is convex in k, and these are its successive slopes,
+    so they do not depend on which cheapest path each step takes."""
+    # Residual arcs as [tail, head, capacity, cost]; arc i ^ 1 is the reverse of arc i.
+    residual = []
+    for arc in network.arcs:
+        residual.append([arc.tail, arc.head, arc.capacity, arc.cost])
+        residual.append([arc.head, arc.tail, 0, -arc.cost])
+    costs = []
+    while True:
+        dist: list[int | None] = [None] * network.num_nodes
+        via = [-1] * network.num_nodes
+        dist[network.source] = 0
+        for _ in range(network.num_nodes - 1):
+            changed = False
+            for i, (tail, head, capacity, cost) in enumerate(residual):
+                if capacity > 0 and dist[tail] is not None and (dist[head] is None or dist[tail] + cost < dist[head]):
+                    dist[head] = dist[tail] + cost
+                    via[head] = i
+                    changed = True
+            if not changed:
+                break
+        if dist[network.sink] is None or dist[network.sink] >= 0:
+            return costs
+        node = network.sink
+        while node != network.source:
+            residual[via[node]][2] -= 1
+            residual[via[node] ^ 1][2] += 1
+            node = residual[via[node]][0]
+        costs.append(dist[network.sink])
+
+
 def flat_offline_allocation(instance: Instance, order: tuple[str, ...] | None = None) -> Allocation:
     """The model-1 offline optimum on the flat reduction: an arc from every
     (category, day) slot to every eligible agent available that day, priced

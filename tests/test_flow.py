@@ -3,8 +3,10 @@ import random
 import pytest
 
 from rationd.flow import Arc, FlowNetwork, NegativeCycleError, solve_profitable_flow
+from rationd.offline import TieBreakOrder, build_model1_network
 
-from oracles import min_cost_by_enumeration
+from helpers import tie_heavy_instance
+from oracles import min_cost_by_enumeration, unit_path_costs
 
 
 def twin_arc_network():
@@ -38,7 +40,13 @@ def test_construction_rejects_malformed_networks():
     with pytest.raises(ValueError):
         FlowNetwork(2, 0, 1, (Arc(1, 0, 1, 0),))  # into the source
     with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, (Arc(1, 0, 1, 0),))
+        FlowNetwork(1, 0, 0, ())  # fewer than two nodes
+    with pytest.raises(ValueError):
+        FlowNetwork(3, 0, 2, (Arc(0, 3, 1, 0),))  # arc node out of range
+    with pytest.raises(ValueError):
+        FlowNetwork(2, 0, 1, (Arc(0, 1, True, 0),))  # bool capacity
+    with pytest.raises(ValueError):
+        FlowNetwork(2, 0, 1, (Arc(0, 1, 1, False),))  # bool cost
     with pytest.raises(ValueError):
         FlowNetwork(3, 0, 2, (Arc(2, 1, 1, 0),))  # out of the sink
     with pytest.raises(ValueError):
@@ -118,6 +126,20 @@ def networkx_graph(nx, network: FlowNetwork):
     return graph
 
 
+def networkx_min_cost(nx, network: FlowNetwork) -> int:
+    """The least cost of any flow, by networkx: the graph sends exactly all
+    the source can give, and the units the network should not carry take a
+    zero-cost bypass from source to sink."""
+    limit = sum(a.capacity for a in network.arcs if a.tail == network.source)
+    graph = networkx_graph(nx, network)
+    bypass = network.num_nodes + len(network.arcs)
+    graph.add_edge(network.source, bypass, capacity=limit, weight=0)
+    graph.add_edge(bypass, network.sink, capacity=limit, weight=0)
+    graph.nodes[network.source]["demand"] = -limit
+    graph.nodes[network.sink]["demand"] = limit
+    return nx.min_cost_flow_cost(graph)
+
+
 def test_min_cost_agrees_with_networkx_on_random_networks():
     nx = pytest.importorskip("networkx")
     rng = random.Random(1990)
@@ -126,18 +148,52 @@ def test_min_cost_agrees_with_networkx_on_random_networks():
         network = random_network_without_negative_cycles(rng)
         result = solve_profitable_flow(network)
         check_result_invariants(network, result)
-        # Send exactly all the source can give; the units the network should
-        # not carry take a zero-cost bypass from source to sink.
-        limit = sum(a.capacity for a in network.arcs if a.tail == network.source)
-        graph = networkx_graph(nx, network)
-        bypass = network.num_nodes + len(network.arcs)
-        graph.add_edge(network.source, bypass, capacity=limit, weight=0)
-        graph.add_edge(bypass, network.sink, capacity=limit, weight=0)
-        graph.nodes[network.source]["demand"] = -limit
-        graph.nodes[network.sink]["demand"] = limit
-        assert result.total_cost == nx.min_cost_flow_cost(graph)
+        assert result.total_cost == networkx_min_cost(nx, network)
         profitable += result.total_cost < 0
     assert profitable >= 40
+
+
+def test_min_cost_agrees_with_networkx_on_tie_heavy_hub_networks():
+    # Offline networks whose cost levels hold many paths, so most solves
+    # drain levels with a blocking flow; tie-broken networks give nearly
+    # every path its own cost. Every path ends on a capacity-1 agent arc,
+    # so a solve that pushed more units than it made profitable searches
+    # drained a level.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(314)
+    drained = 0
+    for _ in range(40):
+        instance = tie_heavy_instance(rng, rng.randint(20, 60), rng.randint(2, 5))
+        order = list(instance.agent_order())
+        rng.shuffle(order)
+        for tie_break in (None, TieBreakOrder(tuple(order))):
+            network, _rmap = build_model1_network(instance, tie_break)
+            result = solve_profitable_flow(network)
+            check_result_invariants(network, result)
+            assert result.total_cost == networkx_min_cost(nx, network)
+            drained += result.rounds <= result.total_flow
+    assert drained >= 20
+
+
+def test_tie_free_network_takes_one_search_per_unit():
+    # Every unit has its own path cost (-6, -5, ..., -1): no level holds a
+    # second path, so each search pushes one unit and the last finds none.
+    arcs = [Arc(0, 1, 6, 0)] + [Arc(1, 2, 1, -k) for k in range(1, 7)]
+    result = solve_profitable_flow(FlowNetwork(3, 0, 2, tuple(arcs)))
+    assert result.total_flow == 6 and result.total_cost == -21
+    assert result.rounds == result.total_flow + 1
+
+
+def test_tie_heavy_network_takes_about_one_search_per_cost_level():
+    rng = random.Random(0)
+    instance = tie_heavy_instance(rng, 300, 10, max_cap=10)
+    network, _rmap = build_model1_network(instance)
+    result = solve_profitable_flow(network)
+    costs = unit_path_costs(network)
+    levels = len(set(costs))
+    assert sum(costs) == result.total_cost
+    assert len(costs) > 2 * levels + 1  # one search per unit would fail below
+    assert result.rounds <= 2 * levels
 
 
 def test_max_flow_min_cost_agrees_with_networkx_on_random_networks():

@@ -195,6 +195,24 @@ class TestOfflineSolver:
             assert total_utility(inst, alloc) == best_utility(inst)
             assert wasted_slots(inst, alloc) == ()
 
+    def test_tie_choice_is_pinned(self):
+        # a1 and a2 are worth the same and the day's supply serves a0 and one
+        # of them. The choice is arbitrary but deterministic: the path each
+        # flow search finds decides it. This pins it.
+        inst = Instance(
+            agents=(
+                Agent("a0", Fraction(73, 100), (True,), frozenset({"c0", "c1", "c2"})),
+                Agent("a1", Fraction(29, 50), (True,), frozenset({"c0", "c1"})),
+                Agent("a2", Fraction(29, 50), (True,), frozenset({"c1", "c2"})),
+            ),
+            categories=(Category("c0", (1,)), Category("c1", (0,)), Category("c2", (3,))),
+            num_days=1,
+            daily_supply=(2,),
+            discount=Fraction(19, 20),
+        )
+        alloc = solve_offline_model1(inst)
+        assert alloc.assignment == {"a0": ("c2", 1), "a1": ("c0", 1), "a2": None}
+
 
 class TestAgainstFlatReduction:
     """The hub network against the flat slot->agent network it replaces."""
