@@ -10,6 +10,9 @@ Subcommands:
 * ``verify``   -- run the verification suite (feasibility, charge
   certificate, maximality, deviation probing) and report pass/fail.
 
+The instance decides the model: model 2 (overall quotas enforced) when every
+category carries an overall quota, model 1 when none does.
+
 Exit codes: 0 success; 2 usage error (argparse); 3 invalid input or
 incompatible solver; 4 a verification certificate failed; 5 a search budget
 was exceeded. Set ``RATIOND_LOG=debug`` (or info/warning/error) to change
@@ -27,7 +30,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import analysis, data
@@ -111,41 +114,31 @@ def _parse_tie_break(text: str | None, instance: Instance) -> TieBreak:
     return tie
 
 
-def _require_model(
-    instance: Instance, model2: bool, command: str, model2_option: str = "--model2", model1_option: str = ""
-) -> None:
-    """Exit before any step unless the model selected fits ``instance``:
-    overall quotas on every category for model 2, on none for model 1.
-    ``model2_option`` names what selects model 2, ``model1_option`` (if
-    any) what selects model 1."""
-    wrong = [c.id for c in instance.categories if (c.overall_quota is None) == model2]
-    if wrong:
-        if model2:
-            advice = f"; use {model1_option}" if model1_option else ""
-            print(
-                f"cannot {command}: {model2_option} needs an overall quota on every category; missing on {wrong}{advice}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"cannot {command}: categories {wrong} carry overall quotas, which only {model2_option} enforces", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-
-
-def _load_instance_or_fail(path: str) -> Instance:
+def _load_instance_or_fail(path: str, command: str) -> tuple[Instance, bool]:
+    """The validated instance at ``path`` and whether it is in model 2: every
+    category carries an overall quota (model 2) or none does (model 1, also
+    when there are no categories). Exit before any step otherwise."""
     instance = data.read_instance(path)
     report = validate_instance(instance)
     if not report.ok:
         for violation in report.violations:
             print(f"invalid instance: {violation.message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    return instance
+    quota = [c.id for c in instance.categories if c.overall_quota is not None]
+    if 0 < len(quota) < len(instance.categories):
+        none = [c.id for c in instance.categories if c.overall_quota is None]
+        print(
+            f"cannot {command}: categories {quota} carry an overall quota and {none} do not; "
+            "give every category one (model 2) or none (model 1)",
+            file=sys.stderr,
+        )
+        raise SystemExit(EXIT_INVALID)
+    return instance, bool(quota)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = data.read_generator_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     try:
         config.validate()
@@ -153,47 +146,40 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"invalid generator config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     instance = data.generate(config)
-    data.write_instance(instance, args.out, provenance=data.config_to_document(config))
-    report = validate_instance(instance)
-    if not report.ok:
+    if not validate_instance(instance).ok:
         print("generator produced an invalid instance (bug)", file=sys.stderr)
         return EXIT_INVALID
+    data.write_instance(instance, args.out, provenance=data.config_to_document(config))
     print(f"wrote {args.out}: {len(instance.agents)} agents, {instance.num_days} days, {len(instance.categories)} categories")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_fail(args.instance)
+    instance, model2 = _load_instance_or_fail(args.instance, "solve")
     try:
         tie_break = _parse_tie_break(args.tie_break, instance)
     except ValueError as exc:
         print(f"bad tie-break: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if tie_break is not None and args.algorithm.startswith("oracle"):
-        print(f"bad tie-break: {args.algorithm} breaks no ties by precedence", file=sys.stderr)
+    if tie_break is not None and args.algorithm == "oracle":
+        print("bad tie-break: oracle breaks no ties by precedence", file=sys.stderr)
         return EXIT_INVALID
-    model2 = args.algorithm in ("online2", "oracle2")
-    _require_model(instance, model2, "solve", "--algorithm online2/oracle2", "--algorithm online1/offline1/oracle")
+    if model2 and args.algorithm == "offline":
+        print("cannot solve: offline ignores the overall quotas every category carries; use --algorithm oracle", file=sys.stderr)
+        return EXIT_INVALID
     started = time.perf_counter()
     try:
-        if args.algorithm == "offline1" and tie_break is not None:
-            alloc = solve_offline_tiebroken(instance, tie_break)
-        elif args.algorithm == "offline1":
-            alloc = solve_offline_model1(instance)
-        elif args.algorithm == "online1":
-            alloc = run_online(instance, model2=False, tie_break=tie_break)
-        elif args.algorithm == "online2":
-            alloc = run_online(instance, model2=True, tie_break=tie_break)
+        if args.algorithm == "online":
+            alloc = run_online(instance, model2=model2, tie_break=tie_break)
         elif args.algorithm == "oracle":
-            alloc = solve_exact_oracle(instance, model2=False, budget=args.budget)
-        else:  # oracle2
-            alloc = solve_exact_oracle(instance, model2=True, budget=args.budget)
+            alloc = solve_exact_oracle(instance, model2=model2, budget=args.budget)
+        elif tie_break is not None:
+            alloc = solve_offline_tiebroken(instance, tie_break)
+        else:
+            alloc = solve_offline_model1(instance)
     except OracleBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"cannot solve: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     seconds = time.perf_counter() - started
     feasibility = check_allocation(instance, alloc, model2=model2)
     if not feasibility.ok:
@@ -201,19 +187,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_CERTIFICATE
     if args.out:
         data.write_allocation(alloc, args.out)
-    _print_summary(_summarize(instance, alloc, args.algorithm, seconds), args.exact)
+    solver = {"online": "online2" if model2 else "online1", "offline": "offline1", "oracle": "oracle2" if model2 else "oracle"}
+    _print_summary(_summarize(instance, alloc, solver[args.algorithm], seconds), args.exact)
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_fail(args.instance)
+    instance, model2 = _load_instance_or_fail(args.instance, "compare")
     try:
         tie_break = _parse_tie_break(args.tie_break, instance)
     except ValueError as exc:
         print(f"bad tie-break: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    model2 = args.model2
-    _require_model(instance, model2, "compare")
     if args.metrics_dir:
         try:
             analysis.check_group_labels(a.group for a in instance.agents if a.group is not None)
@@ -267,9 +252,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_fail(args.instance)
-    model2 = args.model2
-    _require_model(instance, model2, "verify")
+    instance, model2 = _load_instance_or_fail(args.instance, "verify")
     failures = 0
     skips = 0
 
@@ -355,16 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solver on an instance")
     p_solve.add_argument("instance", help="instance file")
-    p_solve.add_argument("--algorithm", required=True, choices=["offline1", "online1", "online2", "oracle", "oracle2"])
+    p_solve.add_argument("--algorithm", required=True, choices=["online", "offline", "oracle"], help="offline: model 1 only")
     p_solve.add_argument("--out", help="allocation file to write")
-    p_solve.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence; not for the oracles")
+    p_solve.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence; not for oracle")
     p_solve.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
     p_solve.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")
     p_solve.set_defaults(func=cmd_solve)
 
     p_compare = sub.add_parser("compare", help="run online and offline and compare")
     p_compare.add_argument("instance", help="instance file")
-    p_compare.add_argument("--model2", action="store_true", help="enforce overall quotas (offline side uses the oracle)")
     p_compare.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence for the online run")
     p_compare.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
     p_compare.add_argument("--metrics-dir", help="directory for coverage metric CSVs")
@@ -373,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite on an instance")
     p_verify.add_argument("instance", help="instance file")
-    p_verify.add_argument("--model2", action="store_true")
     p_verify.add_argument("--allocation", help="also feasibility-check this allocation file")
     p_verify.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
     p_verify.add_argument("--seed", type=int, default=0, help="seed that picks the agents to probe for deviations")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rationd import analysis, cli
+from rationd import analysis, cli, data
 from rationd.data import instance_to_document, read_allocation, read_instance, write_allocation
 from rationd.model import Agent, Allocation, Category, Instance
 
@@ -101,17 +101,25 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "malformed input" in err and where in err
 
+    def test_invalid_generated_instance_is_not_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(data, "generate", lambda config: replace(tight_model1(), discount=Fraction(1)))
+        out = tmp_path / "inst.json"
+        assert run(["generate", "--config", self.config_file(tmp_path), "--out", str(out)]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and "generator produced an invalid instance (bug)" in captured.err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_adversarial_online_on_tight_fixture(self, tmp_path, capsys):
         out = tmp_path / "alloc.json"
-        code = run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "adversarial", "--out", str(out)])
+        code = run(["solve", TIGHT_M1, "--algorithm", "online", "--tie-break", "adversarial", "--out", str(out)])
         assert code == 0
         assert "utility   : 0.500000" in capsys.readouterr().out
         assert out.exists()
 
     def test_offline_on_tight_fixture(self, capsys):
-        assert run(["solve", TIGHT_M1, "--algorithm", "offline1", "--exact"]) == 0
+        assert run(["solve", TIGHT_M1, "--algorithm", "offline", "--exact"]) == 0
         out = capsys.readouterr().out
         assert "utility   : 0.975000 (exact 39/40)" in out
 
@@ -131,46 +139,51 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "matched   : 0 / 0" in out
         assert "utility   : 0.000000" in out
+        # No category carries an overall quota, so this is model 1.
+        assert run(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "solver    : online1" in out and "solver    : offline1" in out
+        assert "worst-case bound     : 1.500000" in out
 
     def test_incompatible_algorithm(self, capsys):
-        code = run(["solve", TIGHT_GEN, "--algorithm", "offline1"])
+        code = run(["solve", TIGHT_GEN, "--algorithm", "offline"])
         assert code == cli.EXIT_INVALID
-        err = capsys.readouterr().err
-        assert err.startswith("cannot solve: ") and "overall quotas" in err
-        assert "which only --algorithm online2/oracle2 enforces" in err and "solve_exact_oracle" not in err
-
-    @pytest.mark.parametrize(
-        "instance, algorithm, advice",
-        [
-            (TIGHT_GEN, "online1", "which only --algorithm online2/oracle2 enforces"),
-            (TIGHT_GEN, "oracle", "which only --algorithm online2/oracle2 enforces"),
-            (TIGHT_M1, "online2", "use --algorithm online1/offline1/oracle"),
-            (TIGHT_M1, "oracle2", "use --algorithm online1/offline1/oracle"),
-        ],
-    )
-    def test_model_mismatch_is_refused_before_solving(self, capsys, instance, algorithm, advice):
-        # online1 and oracle used to ignore the overall quotas and exit 0.
-        assert run(["solve", instance, "--algorithm", algorithm]) == cli.EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("cannot solve: ") and advice in captured.err
+        assert captured.err.startswith("cannot solve: ") and "overall quotas" in captured.err
+        assert "use --algorithm oracle" in captured.err and "solve_exact_oracle" not in captured.err
+
+    @pytest.mark.parametrize(
+        "instance, algorithm, label",
+        [
+            (TIGHT_GEN, "online", "online2"),
+            (TIGHT_M1, "online", "online1"),
+            (TIGHT_GEN, "oracle", "oracle2"),
+            (TIGHT_M1, "oracle", "oracle"),
+            (TIGHT_M1, "offline", "offline1"),
+        ],
+        ids=["online-general", "online-model1", "oracle-general", "oracle-model1", "offline-model1"],
+    )
+    def test_solver_label_follows_the_model(self, capsys, instance, algorithm, label):
+        assert run(["solve", instance, "--algorithm", algorithm]) == 0
+        assert f"solver    : {label}\n" in capsys.readouterr().out
 
     def test_oracle_budget_exit(self, tmp_path, capsys):
-        code = run(["solve", TIGHT_GEN, "--algorithm", "oracle2", "--budget", "1"])
+        code = run(["solve", TIGHT_GEN, "--algorithm", "oracle", "--budget", "1"])
         assert code == cli.EXIT_BUDGET
         assert "budget exceeded" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
-        assert run(["solve", "no-such-file.json", "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert run(["solve", "no-such-file.json", "--algorithm", "online"]) == cli.EXIT_INVALID
 
     def test_directory_is_refused_by_name(self, tmp_path, capsys):
-        assert run(["solve", str(tmp_path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert run(["solve", str(tmp_path), "--algorithm", "online"]) == cli.EXIT_INVALID
         assert f"cannot open {tmp_path}" in capsys.readouterr().err
 
     def test_instance_that_is_not_utf8_is_malformed_input(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"kind": "instance", "note": "café"}'.encode("latin-1"))
-        assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert run(["solve", str(path), "--algorithm", "online"]) == cli.EXIT_INVALID
         assert "malformed input" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -185,7 +198,7 @@ class TestSolve:
     def test_oversized_values_are_malformed_input(self, tmp_path, capsys, text, where):
         path = tmp_path / "instance.json"
         path.write_text('{"schema_version": 1, "kind": "instance", ' + text + "}")
-        assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert run(["solve", str(path), "--algorithm", "online"]) == cli.EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("malformed input: ") and where in err
 
@@ -194,24 +207,24 @@ class TestSolve:
         document["num_days"] = True
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(document))
-        assert run(["solve", str(path), "--algorithm", "online1"]) == cli.EXIT_INVALID
+        assert run(["solve", str(path), "--algorithm", "online"]) == cli.EXIT_INVALID
         assert "num_days: expected int, got True" in capsys.readouterr().err
 
     def test_explicit_tie_break_order(self, capsys):
         # Preferring a1 on the tight fixture reproduces the bad run.
-        assert run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "a1,a2"]) == 0
+        assert run(["solve", TIGHT_M1, "--algorithm", "online", "--tie-break", "a1,a2"]) == 0
         assert "utility   : 0.500000" in capsys.readouterr().out
-        assert run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "a2,a1"]) == 0
+        assert run(["solve", TIGHT_M1, "--algorithm", "online", "--tie-break", "a2,a1"]) == 0
         assert "utility   : 0.975000" in capsys.readouterr().out
 
     def test_tie_break_must_be_a_permutation(self, capsys):
-        code = run(["solve", TIGHT_M1, "--algorithm", "online1", "--tie-break", "a1"])
+        code = run(["solve", TIGHT_M1, "--algorithm", "online", "--tie-break", "a1"])
         assert code == cli.EXIT_INVALID
 
-    def symmetric_pair(self, tmp_path):
+    def symmetric_pair(self, tmp_path, overall_quota=None):
         instance = Instance(
             agents=tuple(Agent(a, Fraction(1, 2), (True,), frozenset({"c1"})) for a in ("a1", "a2")),
-            categories=(Category("c1", (1,)),),
+            categories=(Category("c1", (1,), overall_quota),),
             num_days=1,
             daily_supply=(1,),
             discount=Fraction(1, 2),
@@ -225,24 +238,25 @@ class TestSolve:
         served = []
         for order in ("a1,a2", "a2,a1"):
             out = tmp_path / f"{order}.json"
-            assert run(["solve", path, "--algorithm", "offline1", "--tie-break", order, "--out", str(out)]) == 0
+            assert run(["solve", path, "--algorithm", "offline", "--tie-break", order, "--out", str(out)]) == 0
             served.append({a for a, _c, _d in read_allocation(str(out)).matched()})
         assert served == [{"a1"}, {"a2"}]
 
-    @pytest.mark.parametrize("algorithm", ["oracle", "oracle2"])
-    def test_the_oracles_refuse_a_tie_break(self, tmp_path, capsys, algorithm):
-        path = self.symmetric_pair(tmp_path)
-        assert run(["solve", path, "--algorithm", algorithm, "--tie-break", "a1,a2"]) == cli.EXIT_INVALID
+    @pytest.mark.parametrize("overall_quota", [None, 1], ids=["oracle", "oracle2"])
+    def test_the_oracles_refuse_a_tie_break(self, tmp_path, capsys, overall_quota):
+        path = self.symmetric_pair(tmp_path, overall_quota)
+        assert run(["solve", path, "--algorithm", "oracle", "--tie-break", "a1,a2"]) == cli.EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("bad tie-break: ")
 
 
 class TestCompare:
-    def test_tight_model1_flags_tightness(self, capsys):
-        assert run(["compare", TIGHT_M1, "--tie-break", "adversarial"]) == 0
+    @pytest.mark.parametrize("instance, ratio", [(TIGHT_M1, "1.950000"), (TIGHT_GEN, "2.500000")], ids=["model1", "general"])
+    def test_adversarial_run_is_tight_on_both_fixtures(self, capsys, instance, ratio):
+        assert run(["compare", instance, "--tie-break", "adversarial"]) == 0
         out = capsys.readouterr().out
-        assert "optimal/online ratio : 1.950000 [tight]" in out
-        assert "worst-case bound     : 1.950000" in out
+        assert f"optimal/online ratio : {ratio} [tight]" in out
+        assert f"worst-case bound     : {ratio}" in out
 
     def test_single_agent_ratio_one(self, tmp_path, capsys):
         document = {
@@ -287,7 +301,7 @@ class TestCompare:
 
     def test_model2_compare_with_metrics(self, tmp_path, capsys):
         metrics = tmp_path / "metrics"
-        assert run(["compare", TIGHT_GEN, "--model2", "--tie-break", "adversarial", "--metrics-dir", str(metrics)]) == 0
+        assert run(["compare", TIGHT_GEN, "--tie-break", "adversarial", "--metrics-dir", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "optimal/online ratio : 2.500000 [tight]" in out
         assert (metrics / "metrics_online.csv").exists()
@@ -315,32 +329,34 @@ NINES = "1/" + "9" * 3000
 
 
 @pytest.mark.parametrize(
-    "command, discount, priorities, expected",
+    "command, discount, priorities, overall_quota, expected",
     [
         (
-            ["solve", "--algorithm", "online1", "--exact"],
+            ["solve", "--algorithm", "online", "--exact"],
             NINES,
             [NINES],
+            None,
             "utility   : 0.000000 (exact about 1-digit / 6001-digit fraction, too long to print)",
         ),
         (
             ["compare", "--exact"],
             NINES,
             [NINES],
+            None,
             "utility   : 0.000000 (exact about 1-digit / 6001-digit fraction, too long to print)",
         ),
-        (["compare", "--model2"], "0.5", [NINES, "0.5"], "worst-case bound     : beyond float range"),
+        (["compare"], "0.5", [NINES, "0.5"], 2, "worst-case bound     : beyond float range"),
     ],
     ids=["solve-exact", "compare-exact", "compare-model2-bound"],
 )
-def test_values_too_long_to_print_are_described(tmp_path, capsys, command, discount, priorities, expected):
+def test_values_too_long_to_print_are_described(tmp_path, capsys, command, discount, priorities, overall_quota, expected):
     document = {
         "schema_version": 1,
         "kind": "instance",
         "discount": discount,
         "num_days": 2,
         "daily_supply": [0, 2],
-        "categories": [{"id": "c1", "daily_quota": [2, 2], "overall_quota": 2 if "--model2" in command else None}],
+        "categories": [{"id": "c1", "daily_quota": [2, 2], "overall_quota": overall_quota}],
         "agents": [
             {"id": f"a{k}", "priority": p, "availability": [1, 1], "eligible": ["c1"], "group": None}
             for k, p in enumerate(priorities)
@@ -354,29 +370,31 @@ def test_values_too_long_to_print_are_described(tmp_path, capsys, command, disco
     assert out.rstrip().splitlines()[-1].startswith("empirical efficiency" if command[0] == "compare" else "wall-clock")
 
 
-@pytest.mark.parametrize("command", ["compare", "verify"])
-def test_overall_quotas_without_model2_are_refused(capsys, command):
-    assert run([command, TIGHT_GEN]) == cli.EXIT_INVALID
-    assert "overall quotas" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["compare", "verify"])
+@pytest.mark.parametrize("command", ["solve", "compare", "verify"])
 @pytest.mark.parametrize(
-    "instance, flags",
-    [(TIGHT_GEN, []), (TIGHT_M1, ["--model2"])],
+    "fixture, category, overall_quota",
+    [(TIGHT_M1, 0, 1), (TIGHT_GEN, 1, None)],
     ids=["overall-quotas-without-model2", "model2-without-overall-quotas"],
 )
-def test_model_mismatch_is_refused_before_any_step(capsys, command, instance, flags):
-    assert run([command, instance, *flags]) == cli.EXIT_INVALID
+def test_model_mismatch_is_refused_before_any_step(tmp_path, capsys, command, fixture, category, overall_quota):
+    # Only some categories carry an overall quota: neither model fits.
+    document = json.loads(Path(fixture).read_text())
+    document["categories"][category]["overall_quota"] = overall_quota
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(document))
+    extra = ["--algorithm", "online"] if command == "solve" else []
+    assert run([command, str(path), *extra]) == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"cannot {command}: ") and "--model2" in captured.err
-    assert "solve_exact_oracle" not in captured.err
+    assert captured.err == (
+        f"cannot {command}: categories ['c1'] carry an overall quota and ['c2'] do not; "
+        "give every category one (model 2) or none (model 1)\n"
+    )
 
 
 class TestVerify:
     def test_fixture_passes(self, capsys):
-        assert run(["verify", TIGHT_GEN, "--model2"]) == 0
+        assert run(["verify", TIGHT_GEN]) == 0
         out = capsys.readouterr().out
         assert "[PASS] charge certificate" in out
         assert "all verification steps passed" in out
@@ -385,7 +403,7 @@ class TestVerify:
         bogus = Allocation({"a1": ("c1", 2), "a2": ("c1", 2), "a3": ("c2", 2)})
         path = tmp_path / "bogus_alloc.json"
         write_allocation(bogus, str(path))
-        code = run(["verify", TIGHT_GEN, "--model2", "--allocation", str(path)])
+        code = run(["verify", TIGHT_GEN, "--allocation", str(path)])
         assert code == cli.EXIT_CERTIFICATE
         out = capsys.readouterr().out
         assert "[FAIL] supplied allocation feasible" in out
@@ -430,12 +448,6 @@ class TestVerify:
         assert run(["verify", str(path)]) == cli.EXIT_INVALID
         assert "invalid instance" in capsys.readouterr().err
 
-    def test_model2_without_overall_quotas_is_refused(self, capsys):
-        assert run(["verify", TIGHT_M1, "--model2"]) == cli.EXIT_INVALID
-        err = capsys.readouterr().err
-        assert "cannot verify:" in err and "overall quota" in err
-        assert "Traceback" not in err
-
     def test_negative_deviation_agents_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["verify", TIGHT_M1, "--deviation-agents", "-1"])
@@ -463,5 +475,5 @@ def test_usage_error_exit_code():
 
 def test_log_level_env_var(monkeypatch, capsys):
     monkeypatch.setenv("RATIOND_LOG", "debug")
-    assert run(["solve", TIGHT_M1, "--algorithm", "offline1"]) == 0
+    assert run(["solve", TIGHT_M1, "--algorithm", "offline"]) == 0
     capsys.readouterr()
