@@ -13,12 +13,14 @@ from .model import (
     Allocation,
     Category,
     Instance,
+    ModelMismatch,
     TieBreakOrder,
     ValidationReport,
     Violation,
     check_allocation,
     total_utility,
     utility_of,
+    overall_quotas,
     validate_instance,
 )
 from .flow import Arc, FlowNetwork, FlowResult, NegativeCycleError, solve_profitable_flow
@@ -86,6 +88,7 @@ __all__ = [
     "InfiniteRatioError",
     "Instance",
     "MetricsSeries",
+    "ModelMismatch",
     "NegativeCycleError",
     "OracleBudgetExceeded",
     "ReductionMap",
@@ -106,6 +109,7 @@ __all__ = [
     "max_weight_capped_bmatching",
     "model1_bound",
     "model2_bound",
+    "overall_quotas",
     "read_allocation",
     "read_instance",
     "run_online",

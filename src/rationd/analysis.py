@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Allocation, Instance, TieBreak, UtilityScale, total_utility, utility_scale
+from .model import Allocation, Instance, TieBreak, UtilityScale, overall_quotas, total_utility, utility_scale
 from .offline import solve_exact_oracle, solve_offline_model1
 from . import online
 from .online import DayGraph, run_online
@@ -53,18 +53,19 @@ def model2_bound(instance: Instance) -> Fraction:
     return 1 + instance.discount + instance.priority_spread() * instance.discount
 
 
-def offline_optimum(instance: Instance, model2: bool, budget: int) -> Allocation:
+def offline_optimum(instance: Instance, budget: int) -> Allocation:
     """The offline side every ratio is taken against: the flow optimum, or
-    under ``model2`` the exhaustive oracle, which raises
-    :class:`~rationd.offline.OracleBudgetExceeded` past ``budget``."""
-    if model2:
-        return solve_exact_oracle(instance, model2=True, budget=budget)
+    in model 2 (:func:`~rationd.model.overall_quotas`) the exhaustive
+    oracle, which raises :class:`~rationd.offline.OracleBudgetExceeded` past
+    ``budget``."""
+    if overall_quotas(instance):
+        return solve_exact_oracle(instance, budget=budget)
     return solve_offline_model1(instance)
 
 
 def competitive_ratio(
     instance: Instance,
-    model2: bool = False,
+    model2: bool | None = None,
     tie_break: TieBreak = None,
     oracle_budget: int = 1_000_000,
 ) -> Fraction:
@@ -75,8 +76,8 @@ def competitive_ratio(
     optimum is positive (the worst-case bounds rule this out for
     well-formed inputs).
     """
-    best = offline_optimum(instance, model2, oracle_budget)
     online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
+    best = offline_optimum(instance, oracle_budget)
     opt = total_utility(instance, best)
     alg = total_utility(instance, online_alloc)
     if alg == 0:
@@ -161,7 +162,7 @@ def build_charging_report(
     instance: Instance,
     online_alloc: Allocation,
     offline_alloc: Allocation,
-    model2: bool = False,
+    model2: bool | None = None,
 ) -> ChargingReport:
     """Assign every offline-matched agent a unique online-matched target.
 
@@ -172,14 +173,14 @@ def build_charging_report(
 
     * ``(t, SAME_DAY)`` for each ``t`` matched online on the charger's
       offline day with at least its priority, the charger itself first;
-    * with ``model2``, ``(t, OVERFLOW)`` for each ``t`` matched online on an
-      earlier day under the charger's offline category, once the online run
-      has used up that category's overall quota by the end of the
-      charger's day.
+    * when the charger's offline category is capped, ``(t, OVERFLOW)`` for
+      each ``t`` matched online on an earlier day under it, once the online
+      run has used up its overall quota by the end of the charger's day.
 
     A charger left without a slot makes the report uncertified, with its
     day as the witness. Failures are reported, never raised.
     """
+    capped = overall_quotas(instance, model2)
     scale = utility_scale(instance)
     key = scale.keys
 
@@ -207,10 +208,9 @@ def build_charging_report(
         agents.sort(key=key.__getitem__)
         same_day[day] = ([key[t] for t in agents], [(t, SAME_DAY) for t in agents])
     overflow: dict[str, tuple[int, list[int], list[tuple[str, str]]]] = {}
-    for category in instance.categories if model2 else ():
-        served = sorted(online_under_cat.get(category.id, ()))
-        if category.overall_quota is not None:
-            overflow[category.id] = (category.overall_quota, [d for d, _t in served], [(t, OVERFLOW) for _d, t in served])
+    for cat_id, quota in capped.items():
+        served = sorted(online_under_cat.get(cat_id, ()))
+        overflow[cat_id] = (quota, [d for d, _t in served], [(t, OVERFLOW) for _d, t in served])
 
     candidates: list[list[tuple[str, str]]] = []
     for day, agent_id, cat_id in chargers:
@@ -231,7 +231,7 @@ def build_charging_report(
         if kind == OVERFLOW:
             factor *= instance.discount ** (day - online_alloc.day_of(target))
         charges.append(Charge(agent_id, target, factor, kind))
-    return _certify(instance, scale, online_alloc, offline_alloc, type1, charges, model2)
+    return _certify(instance, scale, online_alloc, offline_alloc, type1, charges, capped)
 
 
 def _inject(candidates: Sequence[Sequence[Hashable]]) -> list[Hashable | None]:
@@ -263,7 +263,7 @@ def _certify(
     offline_alloc: Allocation,
     type1: frozenset[str],
     charges: list[Charge],
-    model2: bool,
+    capped: Mapping[str, int],
 ) -> ChargingReport:
     spread = instance.priority_spread()
     limit = {
@@ -272,19 +272,19 @@ def _certify(
         OVERFLOW: spread * instance.discount,
     }
     online_day = {a: d for a, _c, d in online_alloc.matched()}
-    offline_day = {a: d for a, _c, d in offline_alloc.matched()}
+    offline_slot = {a: (c, d) for a, c, d in offline_alloc.matched()}
 
     kinds_per_target: dict[str, list[str]] = defaultdict(list)
     for charge in charges:
         kinds_per_target[charge.target].append(charge.kind)
 
-    if sorted(c.charger for c in charges) != sorted(offline_day):
+    if sorted(c.charger for c in charges) != sorted(offline_slot):
         return _report(type1, charges, reason="chargers do not cover the offline-matched agents exactly once")
     for charge in charges:
         if charge.target not in online_day:
             return _report(type1, charges, reason=f"target {charge.target!r} is not online-matched")
-        if charge.kind == OVERFLOW and not model2:
-            return _report(type1, charges, reason="overflow charge outside model2")
+        if charge.kind == OVERFLOW and offline_slot[charge.charger][0] not in capped:
+            return _report(type1, charges, reason=f"overflow charge of {charge.charger!r} under an uncapped category")
         if charge.factor > limit[charge.kind]:
             return _report(
                 type1,
@@ -295,14 +295,12 @@ def _certify(
     for target, kinds in kinds_per_target.items():
         if len(kinds) != len(set(kinds)):
             return _report(type1, charges, reason=f"target {target!r} carries repeated charge kinds {kinds}")
-        if len(kinds) > (3 if model2 else 2):
-            return _report(type1, charges, reason=f"target {target!r} carries {len(kinds)} charges")
 
     # Each factor carries its target's online utility to its charger's
     # offline utility exactly; summed, they reconstruct the offline utility.
     for charge in charges:
         carried = charge.factor.numerator * scale.utility(charge.target, online_day[charge.target])
-        if carried != charge.factor.denominator * scale.utility(charge.charger, offline_day[charge.charger]):
+        if carried != charge.factor.denominator * scale.utility(charge.charger, offline_slot[charge.charger][1]):
             pair = f"{charge.charger!r} -> {charge.target!r}"
             return _report(type1, charges, reason=f"{charge.kind} factor {charge.factor} of {pair} is not their utility ratio")
     return _report(type1, charges)
@@ -369,7 +367,7 @@ class DeviationReport:
 def availability_deviation_report(
     instance: Instance,
     agent_id: str,
-    model2: bool = False,
+    model2: bool | None = None,
     tie_break: TieBreak = None,
 ) -> DeviationReport:
     """Settle every under-report of one agent's availability with one walk.
@@ -455,6 +453,7 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
     check_group_labels(labels)
 
     categories = instance.category_map()
+    capped = overall_quotas(instance)
     consumed_before: dict[str, list[int]] = {
         c.id: [0] * (instance.num_days + 1) for c in instance.categories
     }
@@ -465,10 +464,9 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
             counts[day] += counts[day - 1]
 
     def capacity(cat_id: str, day: int) -> int:
-        category = categories[cat_id]
-        cap = category.daily_quota[day - 1]
-        if category.overall_quota is not None:
-            cap = min(cap, category.overall_quota - consumed_before[cat_id][day - 1])
+        cap = categories[cat_id].daily_quota[day - 1]
+        if cat_id in capped:
+            cap = min(cap, capped[cat_id] - consumed_before[cat_id][day - 1])
         return cap
     reach_day: dict[str, int | None] = {}
     for agent in instance.agents:
@@ -582,12 +580,13 @@ def max_matching_size(graph: DayGraph) -> int:
         total += 1
 
 
-def wasted_slots(instance: Instance, alloc: Allocation, model2: bool = False) -> tuple[tuple[str, str, int], ...]:
+def wasted_slots(instance: Instance, alloc: Allocation, model2: bool | None = None) -> tuple[tuple[str, str, int], ...]:
     """(agent, category, day) triples that could be added outright.
 
     Empty means the allocation is non-wasteful: nobody eligible and available
     is left out while supply and quotas have room.
     """
+    capped = overall_quotas(instance, model2)
     used_day: dict[int, int] = defaultdict(int)
     used_cat_day: dict[tuple[str, int], int] = defaultdict(int)
     used_cat: dict[str, int] = defaultdict(int)
@@ -610,7 +609,7 @@ def wasted_slots(instance: Instance, alloc: Allocation, model2: bool = False) ->
                     continue
                 if used_cat_day[(category.id, day)] >= category.daily_quota[day - 1]:
                     continue
-                if model2 and category.overall_quota is not None and used_cat[category.id] >= category.overall_quota:
+                if category.id in capped and used_cat[category.id] >= capped[category.id]:
                     continue
                 additions.append((agent.id, category.id, day))
     return tuple(additions)

@@ -10,8 +10,9 @@ Subcommands:
 * ``verify``   -- run the verification suite (feasibility, charge
   certificate, maximality, deviation probing) and report pass/fail.
 
-The instance decides the model: model 2 (overall quotas enforced) when every
-category carries an overall quota, model 1 when none does.
+The instance decides the model: model 2 (overall quotas enforced) when some
+category carries an overall quota, model 1 when none does. A category
+without an overall quota is uncapped in either model.
 
 Exit codes: 0 success; 2 usage error (argparse); 3 invalid input or
 incompatible solver; 4 a verification certificate failed; 5 a search budget
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import analysis, data
-from .model import Allocation, Instance, TieBreak, TieBreakOrder, check_allocation, precedence, total_utility, validate_instance
+from .model import Allocation, Instance, TieBreak, TieBreakOrder, check_allocation, overall_quotas, precedence, total_utility, validate_instance
 from .offline import OracleBudgetExceeded, solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
 from .online import run_online, run_online_with_trace
 
@@ -114,26 +115,15 @@ def _parse_tie_break(text: str | None, instance: Instance) -> TieBreak:
     return tie
 
 
-def _load_instance_or_fail(path: str, command: str) -> tuple[Instance, bool]:
-    """The validated instance at ``path`` and whether it is in model 2: every
-    category carries an overall quota (model 2) or none does (model 1, also
-    when there are no categories). Exit before any step otherwise."""
+def _load_instance_or_fail(path: str) -> Instance:
+    """The validated instance at ``path``; exit before any step otherwise."""
     instance = data.read_instance(path)
     report = validate_instance(instance)
     if not report.ok:
         for violation in report.violations:
             print(f"invalid instance: {violation.message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    quota = [c.id for c in instance.categories if c.overall_quota is not None]
-    if 0 < len(quota) < len(instance.categories):
-        none = [c.id for c in instance.categories if c.overall_quota is None]
-        print(
-            f"cannot {command}: categories {quota} carry an overall quota and {none} do not; "
-            "give every category one (model 2) or none (model 1)",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_INVALID)
-    return instance, bool(quota)
+    return instance
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -155,7 +145,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance, model2 = _load_instance_or_fail(args.instance, "solve")
+    instance = _load_instance_or_fail(args.instance)
+    model2 = bool(overall_quotas(instance))
     try:
         tie_break = _parse_tie_break(args.tie_break, instance)
     except ValueError as exc:
@@ -165,14 +156,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("bad tie-break: oracle breaks no ties by precedence", file=sys.stderr)
         return EXIT_INVALID
     if model2 and args.algorithm == "offline":
-        print("cannot solve: offline ignores the overall quotas every category carries; use --algorithm oracle", file=sys.stderr)
+        print("cannot solve: offline ignores the overall quotas this instance carries; use --algorithm oracle", file=sys.stderr)
         return EXIT_INVALID
     started = time.perf_counter()
     try:
         if args.algorithm == "online":
-            alloc = run_online(instance, model2=model2, tie_break=tie_break)
+            alloc = run_online(instance, tie_break=tie_break)
         elif args.algorithm == "oracle":
-            alloc = solve_exact_oracle(instance, model2=model2, budget=args.budget)
+            alloc = solve_exact_oracle(instance, budget=args.budget)
         elif tie_break is not None:
             alloc = solve_offline_tiebroken(instance, tie_break)
         else:
@@ -181,7 +172,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     seconds = time.perf_counter() - started
-    feasibility = check_allocation(instance, alloc, model2=model2)
+    feasibility = check_allocation(instance, alloc)
     if not feasibility.ok:
         print("solver produced an infeasible allocation (bug)", file=sys.stderr)
         return EXIT_CERTIFICATE
@@ -193,7 +184,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    instance, model2 = _load_instance_or_fail(args.instance, "compare")
+    instance = _load_instance_or_fail(args.instance)
+    model2 = bool(overall_quotas(instance))
     try:
         tie_break = _parse_tie_break(args.tie_break, instance)
     except ValueError as exc:
@@ -207,12 +199,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return EXIT_INVALID
 
     started = time.perf_counter()
-    online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
+    online_alloc = run_online(instance, tie_break=tie_break)
     online_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     try:
-        offline_alloc = analysis.offline_optimum(instance, model2, args.budget)
+        offline_alloc = analysis.offline_optimum(instance, args.budget)
     except OracleBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -252,7 +244,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance, model2 = _load_instance_or_fail(args.instance, "verify")
+    instance = _load_instance_or_fail(args.instance)
     failures = 0
     skips = 0
 
@@ -266,30 +258,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.allocation:
         supplied = data.read_allocation(args.allocation)
-        report = check_allocation(instance, supplied, model2=model2)
+        report = check_allocation(instance, supplied)
         outcome(
             "supplied allocation feasible",
             report.ok,
             "; ".join(v.message for v in report.violations[:3]),
         )
 
-    online_alloc, trace = run_online_with_trace(instance, model2=model2)
-    outcome("online allocation feasible", check_allocation(instance, online_alloc, model2=model2).ok)
+    online_alloc, trace = run_online_with_trace(instance)
+    outcome("online allocation feasible", check_allocation(instance, online_alloc).ok)
 
     sizes_ok = all(len(day.matched) == analysis.max_matching_size(day.graph) for day in trace)
     outcome("each day matching is maximum-cardinality", sizes_ok)
 
-    wasted = analysis.wasted_slots(instance, online_alloc, model2=model2)
+    wasted = analysis.wasted_slots(instance, online_alloc)
     outcome("online allocation is non-wasteful", not wasted, f"{len(wasted)} addable slots" if wasted else "")
 
     try:
-        offline_alloc = analysis.offline_optimum(instance, model2, args.budget)
+        offline_alloc = analysis.offline_optimum(instance, args.budget)
     except OracleBudgetExceeded as exc:
         print(f"[SKIP] charge certificate (budget exceeded: {exc})")
         skips += 1
         offline_alloc = None
     if offline_alloc is not None:
-        report = analysis.build_charging_report(instance, online_alloc, offline_alloc, model2=model2)
+        report = analysis.build_charging_report(instance, online_alloc, offline_alloc)
         outcome(
             "charge certificate",
             report.bound_certified,
@@ -297,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         opt = total_utility(instance, offline_alloc)
         alg = total_utility(instance, online_alloc)
-        bound = analysis.model2_bound(instance) if model2 else analysis.model1_bound(instance)
+        bound = analysis.model2_bound(instance) if overall_quotas(instance) else analysis.model1_bound(instance)
         outcome("worst-case ratio bound", opt <= bound * alg)
 
     rng = random.Random(args.seed)
@@ -306,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     probe = agent_ids[: args.deviation_agents]
     uncertified = []
     for agent_id in probe:
-        report = analysis.availability_deviation_report(instance, agent_id, model2=model2)
+        report = analysis.availability_deviation_report(instance, agent_id)
         if not report.strategyproof:
             uncertified.append(f"{agent_id}: witness day {report.witness_day}")
     if probe:

@@ -39,7 +39,9 @@ class Category:
     """A rationing channel with a per-day quota vector.
 
     ``overall_quota`` caps the total across all days; leaving it ``None``
-    means the category is only day-constrained.
+    means the category is only day-constrained, in either model. An instance
+    is in model 2 when some category carries an overall quota
+    (:func:`overall_quotas`).
     """
 
     id: str
@@ -64,16 +66,32 @@ class Instance:
     def agent_order(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.agents)
 
-    def has_overall_quotas(self) -> bool:
-        """True when every category carries an overall quota."""
-        return all(c.overall_quota is not None for c in self.categories)
-
     def priority_spread(self) -> Fraction:
         """max/min priority ratio across agents; 1 for the empty instance."""
         if not self.agents:
             return Fraction(1)
         priorities = [a.priority for a in self.agents]
         return max(priorities) / min(priorities)
+
+
+class ModelMismatch(ValueError):
+    """An explicit ``model2`` that disagrees with the instance's overall quotas."""
+
+
+def overall_quotas(instance: Instance, model2: bool | None = None) -> dict[str, int]:
+    """The capped categories of ``instance``, each with its overall quota.
+
+    This is the model rule every entry point reads: a category without an
+    overall quota is uncapped, and the instance is in model 2 exactly when
+    some category is capped (the dict is non-empty). ``model2``, when given,
+    decides nothing; raises :class:`ModelMismatch` when it disagrees.
+    """
+    quotas = {c.id: c.overall_quota for c in instance.categories if c.overall_quota is not None}
+    if model2 is not None and model2 != bool(quotas):
+        if quotas:
+            raise ModelMismatch(f"model 1 was asked for, but categories {list(quotas)} carry overall quotas (model 2)")
+        raise ModelMismatch("model 2 was asked for, but no category carries an overall quota (model 1)")
+    return quotas
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,12 +289,15 @@ def utility_of(priority: Fraction, day_index: int, discount: Fraction) -> Fracti
     return priority * discount ** (day_index - 1)
 
 
-def check_allocation(instance: Instance, alloc: Allocation, model2: bool = False) -> ValidationReport:
+def check_allocation(instance: Instance, alloc: Allocation, model2: bool | None = None) -> ValidationReport:
     """Verify an allocation against supply, quota, availability and eligibility.
 
-    With ``model2`` set, overall quotas (where present) are enforced as well.
-    All violations are reported; nothing is raised.
+    The overall quotas of :func:`overall_quotas` are enforced as well; a
+    category without one is uncapped. All violations are reported; nothing
+    is raised but :class:`ModelMismatch` for a ``model2`` that disagrees with
+    the instance.
     """
+    capped = overall_quotas(instance, model2)
     bad: list[Violation] = []
     agents = instance.agent_map()
     categories = instance.category_map()
@@ -323,17 +344,15 @@ def check_allocation(instance: Instance, alloc: Allocation, model2: bool = False
                     f"category {cat_id!r} serves {used} agents on day {day} but its quota is {quota}",
                 )
             )
-    if model2:
-        for cat_id, used in sorted(used_per_cat.items()):
-            overall = categories[cat_id].overall_quota
-            if overall is not None and used > overall:
-                bad.append(
-                    Violation(
-                        "overall_quota",
-                        (cat_id,),
-                        f"category {cat_id!r} serves {used} agents in total but its overall quota is {overall}",
-                    )
+    for cat_id, used in sorted(used_per_cat.items()):
+        if cat_id in capped and used > capped[cat_id]:
+            bad.append(
+                Violation(
+                    "overall_quota",
+                    (cat_id,),
+                    f"category {cat_id!r} serves {used} agents in total but its overall quota is {capped[cat_id]}",
                 )
+            )
 
     return ValidationReport(tuple(bad))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .flow import Arc, FlowNetwork, solve_profitable_flow
-from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, precedence, utility_scale, validate_instance
+from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, overall_quotas, precedence, utility_scale, validate_instance
 
 log = logging.getLogger(__name__)
 
@@ -185,22 +185,15 @@ def build_model1_network(
     return network, ReductionMap(agent_nodes=agent_nodes, hubs=tuple(hubs))
 
 
-def _reject_overall_quotas(instance: Instance) -> None:
-    quota_bearing = [c.id for c in instance.categories if c.overall_quota is not None]
-    if quota_bearing:
-        raise ValueError(
-            "the flow solver ignores overall quotas and so refuses instances that carry them "
-            f"(categories {quota_bearing}); use solve_exact_oracle(model2=True) instead"
-        )
-
-
 def solve_offline_model1(instance: Instance) -> Allocation:
     """Utility-maximal allocation when only daily quotas constrain categories.
 
     Among equally good allocations the choice is deterministic but otherwise
-    arbitrary; use :func:`solve_offline_tiebroken` to pin it down.
+    arbitrary; use :func:`solve_offline_tiebroken` to pin it down. Raises
+    :class:`~rationd.model.ModelMismatch` in model 2, which only
+    :func:`solve_exact_oracle` solves.
     """
-    _reject_overall_quotas(instance)
+    overall_quotas(instance, model2=False)
     network, rmap = build_model1_network(instance)
     result = solve_profitable_flow(network)
     log.debug(
@@ -214,21 +207,23 @@ def solve_offline_tiebroken(instance: Instance, tie_break: TieBreak) -> Allocati
     returns the one whose matched set lexicographically prefers agents
     earlier in the precedence ``tie_break`` stands for; it takes what
     :func:`~rationd.online.run_online` takes, with the same meaning."""
-    _reject_overall_quotas(instance)
+    overall_quotas(instance, model2=False)
     order = TieBreakOrder(precedence(instance, tie_break))
     network, rmap = build_model1_network(instance, tie_break=order)
     result = solve_profitable_flow(network)
     return rmap.allocation(result.arc_flows)
 
 
-def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1_000_000) -> Allocation:
+def solve_exact_oracle(instance: Instance, model2: bool | None = None, budget: int = 1_000_000) -> Allocation:
     """Exhaustive branch-and-bound over agent assignments. Exact and slow.
 
-    Honors overall quotas when ``model2`` is set. Refuses (never
+    Honors the overall quotas of :func:`~rationd.model.overall_quotas`;
+    ``model2`` is only checked against the instance. Refuses (never
     approximates) once ``budget`` search nodes are exceeded or the instance
     is clearly too large for enumeration.
     """
     _require_well_formed(instance)
+    capped = overall_quotas(instance, model2)
     n_agents = len(instance.agents)
     if n_agents * max(1, instance.num_days) * max(1, len(instance.categories)) > budget:
         raise OracleBudgetExceeded(
@@ -237,9 +232,7 @@ def solve_exact_oracle(instance: Instance, model2: bool = False, budget: int = 1
         )
 
     cat_ids = [c.id for c in instance.categories]
-    overall = [
-        (c.overall_quota if (model2 and c.overall_quota is not None) else None) for c in instance.categories
-    ]
+    overall = [capped.get(cid) for cid in cat_ids]
 
     # Utilities as integers over one common denominator: scaling by a
     # positive constant keeps every comparison below, ties included, and

@@ -6,7 +6,7 @@ loop moves on without ever reading future availability.
 
 A day's :class:`DayGraph` holds that day's candidates and the capacities of
 the categories open that day. A category is closed when its daily quota is
-0 that day or, in model 2, its overall quota is used up; it is then missing
+0 that day or its overall quota is used up; it is then missing
 from the capacities. Category lists are not rebuilt per day: every day
 graph of a run shares one mapping from each agent to all its eligible
 categories in instance order, and the matcher passes over closed ones. The
@@ -46,7 +46,7 @@ from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, Sequence
 # Not called here. ``perfbench/spans.py`` wraps this name on this module to
 # count flow solves, so the import stays until the tracer stops asking for it.
 from .flow import solve_profitable_flow  # noqa: F401
-from .model import Allocation, Instance, TieBreak, precedence, priority_keys, validate_instance
+from .model import Allocation, Instance, TieBreak, overall_quotas, precedence, priority_keys, validate_instance
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ def _day_graph(
     capacities: dict[str, int] = {}
     for category in instance.categories:
         cap = category.daily_quota[day_index - 1]
-        if remaining_overall is not None:
+        if remaining_overall:
             cap = min(cap, remaining_overall.get(category.id, cap))
         if cap > 0:
             capacities[category.id] = cap
@@ -144,8 +144,8 @@ def build_day_graph(
 ) -> DayGraph:
     """Graph for ``day_index``: the agents of ``pool`` (those still waiting)
     available that day vs. the categories open that day, each at its daily
-    quota, clipped by its entry in ``remaining_overall`` (model 2) when
-    given. ``tie_break`` sets the precedence, as in :func:`run_online`."""
+    quota, clipped by its entry in ``remaining_overall`` if it has one.
+    ``tie_break`` sets the precedence, as in :func:`run_online`."""
     if not (1 <= day_index <= instance.num_days):
         raise ValueError(f"day_index {day_index} outside horizon 1..{instance.num_days}")
     ranking = _ranking(instance, tie_break)
@@ -275,35 +275,26 @@ def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
     return frozenset(seat.items())
 
 
-def _start(instance: Instance, model2: bool, tie_break: TieBreak) -> tuple[_Ranking, dict[str, int] | None]:
-    """Check a run's inputs and return its ranking and, in model 2, the
-    overall quotas left at the start (else None).
+def _start(instance: Instance, model2: bool | None, tie_break: TieBreak) -> tuple[_Ranking, dict[str, int]]:
+    """Check a run's inputs and return its ranking and the overall quotas
+    left at the start (:func:`~rationd.model.overall_quotas`).
 
-    Raises ValueError for an instance that is not well-formed, a model 2 run
-    on a category without an overall quota, or an unknown tie-break.
+    Raises ValueError for an instance that is not well-formed, a ``model2``
+    that disagrees with it, or an unknown tie-break.
     """
     report = validate_instance(instance)
     if not report.ok:
         raise ValueError(f"instance is not well-formed: {report.violations[0].message}")
-    if model2 and not instance.has_overall_quotas():
-        missing = [c.id for c in instance.categories if c.overall_quota is None]
-        raise ValueError(f"model2 run needs an overall quota on every category; missing on {missing}")
-    ranking = _ranking(instance, tie_break)
-    remaining: dict[str, int] | None = None
-    if model2:
-        remaining = {c.id: c.overall_quota for c in instance.categories}  # type: ignore[misc]
-    return ranking, remaining
+    return _ranking(instance, tie_break), overall_quotas(instance, model2)
 
 
-def _run_days(
-    instance: Instance, ranking: _Ranking, pool: list[str], remaining: dict[str, int] | None
-) -> Iterator[DayTrace]:
+def _run_days(instance: Instance, ranking: _Ranking, pool: list[str], remaining: dict[str, int]) -> Iterator[DayTrace]:
     """The greedy day loop over the whole horizon, one trace per day,
     yielded once the day is matched and before it is committed.
 
     ``pool`` lists the agents taking part, in greedy order; ``remaining``
-    (model 2, else None) holds the overall quotas left and is updated in
-    place.
+    holds the overall quotas left of the capped categories and is updated
+    in place.
     """
     availability = {a.id: a.availability for a in instance.agents}
     for day in range(1, instance.num_days + 1):
@@ -314,16 +305,17 @@ def _run_days(
         if matched:
             taken = {a for a, _c in matched}
             pool = [a for a in pool if a not in taken]
-            if remaining is not None:
-                for _a, cat_id in matched:
+            for _a, cat_id in matched:
+                if cat_id in remaining:
                     remaining[cat_id] -= 1
         log.debug("day=%d candidates=%d matched=%d pool=%d", day, len(candidates), len(matched), len(pool))
 
 
 def run_online_with_trace(
-    instance: Instance, model2: bool = False, tie_break: TieBreak = None
+    instance: Instance, model2: bool | None = None, tie_break: TieBreak = None
 ) -> tuple[Allocation, tuple[DayTrace, ...]]:
-    """Run the greedy day loop and keep each day's graph and matching."""
+    """Run the greedy day loop and keep each day's graph and matching; the
+    overall quotas are those of :func:`~rationd.model.overall_quotas`."""
     ranking, remaining = _start(instance, model2, tie_break)
     traces = tuple(_run_days(instance, ranking, list(ranking.order), remaining))
     assignment: dict[str, tuple[str, int] | None] = {a.id: None for a in instance.agents}
@@ -333,7 +325,7 @@ def run_online_with_trace(
     return Allocation(assignment), traces
 
 
-def run_online(instance: Instance, model2: bool = False, tie_break: TieBreak = None) -> Allocation:
+def run_online(instance: Instance, model2: bool | None = None, tie_break: TieBreak = None) -> Allocation:
     """Allocation produced by the day-by-day greedy algorithm."""
     allocation, _ = run_online_with_trace(instance, model2=model2, tie_break=tie_break)
     return allocation

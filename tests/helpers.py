@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from rationd.model import Agent, Category, Instance
@@ -47,6 +48,16 @@ def tight_general(
         num_days=2,
         daily_supply=(1, 2),
         discount=discount,
+    )
+
+
+def without_overall_quotas(instance: Instance, categories=None) -> Instance:
+    """``instance`` with the overall quota dropped from the named
+    ``categories``, by default from all of them (its model-1 relaxation)."""
+    dropped = {c.id for c in instance.categories} if categories is None else set(categories)
+    return replace(
+        instance,
+        categories=tuple(replace(c, overall_quota=None) if c.id in dropped else c for c in instance.categories),
     )
 
 

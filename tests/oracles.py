@@ -21,12 +21,15 @@ from rationd.model import Allocation, Instance
 from rationd.online import DayGraph, TieBreak, run_online
 
 
-def iter_allocations(instance: Instance, model2: bool = False):
-    """Yield every feasible assignment dict (agent -> (category, day) | None)."""
+def iter_allocations(instance: Instance):
+    """Yield every feasible assignment dict (agent -> (category, day) | None).
+
+    Each category's overall quota, read off the category itself, caps its
+    total; a category without one (``None``) is uncapped."""
     agents = list(instance.agents)
     supply = list(instance.daily_supply)
     quota = {c.id: list(c.daily_quota) for c in instance.categories}
-    overall = {c.id: (c.overall_quota if model2 else None) for c in instance.categories}
+    overall = {c.id: c.overall_quota for c in instance.categories}
     assignment: dict[str, tuple[str, int] | None] = {}
 
     def rec(k: int):
@@ -67,8 +70,8 @@ def allocation_value(instance: Instance, assignment: dict[str, tuple[str, int] |
     return value
 
 
-def best_utility(instance: Instance, model2: bool = False) -> Fraction:
-    return max(allocation_value(instance, a) for a in iter_allocations(instance, model2))
+def best_utility(instance: Instance) -> Fraction:
+    return max(allocation_value(instance, a) for a in iter_allocations(instance))
 
 
 def min_cost_by_enumeration(network: FlowNetwork) -> int:
@@ -243,7 +246,6 @@ def lex_first_day_matching(instance: Instance, graph: DayGraph) -> frozenset[tup
 def deviation_outcomes_by_rerun(
     instance: Instance,
     agent_id: str,
-    model2: bool = False,
     tie_break: TieBreak = None,
     subsets: Iterable[tuple[int, ...]] | None = None,
 ) -> tuple[DeviationOutcome, ...]:
@@ -260,7 +262,7 @@ def deviation_outcomes_by_rerun(
     for reported in subsets:
         mask = tuple(d in reported for d in range(1, instance.num_days + 1))
         tweaked_agents = tuple(replace(a, availability=mask) if a.id == agent_id else a for a in instance.agents)
-        result = run_online(replace(instance, agents=tweaked_agents), model2=model2, tie_break=tie_break)
+        result = run_online(replace(instance, agents=tweaked_agents), tie_break=tie_break)
         outcomes.append(DeviationOutcome(tuple(reported), result.day_of(agent_id)))
     return tuple(outcomes)
 

@@ -3,10 +3,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rationd import online
 from rationd.data import GeneratorConfig, SupplyModel, generate
-from rationd.model import Agent, Allocation, Category, Instance, utility_scale
+from rationd.model import Agent, Allocation, Category, Instance, check_allocation, total_utility, utility_scale
 from rationd.offline import TieBreakOrder, solve_exact_oracle, solve_offline_model1
 from rationd.online import DayGraph, run_online
 from rationd.analysis import (
@@ -23,10 +24,11 @@ from rationd.analysis import (
     max_matching_size,
     model1_bound,
     model2_bound,
+    wasted_slots,
 )
 
-from helpers import random_instance, tight_general, tight_model1
-from oracles import deviation_outcomes_by_rerun, injection_by_recursion
+from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
+from oracles import best_utility, deviation_outcomes_by_rerun, injection_by_recursion
 
 
 class TestCompetitiveRatio:
@@ -163,12 +165,23 @@ class TestChargingReport:
 
         def certify(f1, f2):
             charges = [Charge("l1", "h1", f1, SAME_DAY), Charge("l2", "h2", f2, SAME_DAY)]
-            return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, frozenset(), charges, False)
+            return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, frozenset(), charges, {})
 
         assert certify(Fraction(2, 5), Fraction(3, 5)).bound_certified
         report = certify(Fraction(3, 5), Fraction(2, 5))
         assert not report.bound_certified
         assert "'l1'" in report.failure_reason and "'l2'" not in report.failure_reason
+
+    def test_an_overflow_charge_needs_a_capped_category(self):
+        # a2 charges a1 by overflow under c1, a2's offline category.
+        inst = tight_general()
+        online_alloc = run_online(inst, tie_break="adversarial")
+        offline_alloc = solve_exact_oracle(inst)
+        report = build_charging_report(inst, online_alloc, offline_alloc)
+        assert [c.charger for c in report.charges if c.kind == OVERFLOW] == ["a2"]
+        inputs = (inst, utility_scale(inst), online_alloc, offline_alloc, report.type1_agents, list(report.charges))
+        assert _certify(*inputs, {"c1": 1}).bound_certified
+        assert _certify(*inputs, {"c2": 2}).failure_reason == "overflow charge of 'a2' under an uncapped category"
 
     @pytest.mark.parametrize(
         "overall, online_z, certified",
@@ -322,10 +335,11 @@ class TestDeviations:
         [
             (replace(tight_model1(), discount=Fraction(1)), False, None),
             (tight_model1(), True, None),
+            (tight_general(), False, None),
             (tight_model1(), False, "sideways"),
             (tight_model1(), False, TieBreakOrder(("a1",))),
         ],
-        ids=["ill-formed", "model2-without-quotas", "unknown-mode", "partial-order"],
+        ids=["ill-formed", "model2-without-quotas", "model1-with-quotas", "unknown-mode", "partial-order"],
     )
     def test_rejects_what_run_online_rejects(self, inst, model2, tie_break):
         with pytest.raises(ValueError) as expected:
@@ -387,7 +401,7 @@ class TestDeviations:
             for tie_break in (None, "adversarial", TieBreakOrder(tuple(precedence))):
                 for agent in inst.agents:
                     report = availability_deviation_report(inst, agent.id, model2=model2, tie_break=tie_break)
-                    expected = deviation_outcomes_by_rerun(inst, agent.id, model2=model2, tie_break=tie_break)
+                    expected = deviation_outcomes_by_rerun(inst, agent.id, tie_break=tie_break)
                     assert report.outcomes == expected
                     assert report.truthful_day == run_online(inst, model2=model2, tie_break=tie_break).day_of(agent.id)
                     assert report.strategyproof
@@ -427,12 +441,45 @@ class TestDeviations:
                 report = availability_deviation_report(inst, agent.id, model2=model2)
                 available = [d for d in range(1, inst.num_days + 1) if agent.availability[d - 1]]
                 subsets = [tuple(d for d in available if rng.random() < 0.5) for _ in range(4)]
-                expected = deviation_outcomes_by_rerun(inst, agent.id, model2=model2, subsets=subsets)
+                expected = deviation_outcomes_by_rerun(inst, agent.id, subsets=subsets)
                 assert [report.outcome_of(s) for s in subsets] == [o.matched_day for o in expected]
                 assert report.strategyproof
                 checked += len(subsets)
                 moved += sum(o.matched_day != report.truthful_day for o in expected)
         assert checked > 300 and moved > 0
+
+
+class TestMixedInstances:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_a_category_without_an_overall_quota_is_uncapped(self, seed, data):
+        # Such a category serves at most the sum of its daily quotas, so a
+        # cap there binds nothing: every entry point must answer as on that
+        # sum-capped equivalent, and the model-2 bound carries over.
+        capped = random_instance(random.Random(seed), max_agents=6, max_days=3, max_cap=2, model2=True)
+        ids = [c.id for c in capped.categories]
+        assume(len(ids) >= 2)
+        mixed = without_overall_quotas(capped, data.draw(st.sets(st.sampled_from(ids), min_size=1, max_size=len(ids) - 1)))
+        summed = replace(
+            mixed,
+            categories=tuple(
+                replace(c, overall_quota=sum(c.daily_quota)) if c.overall_quota is None else c for c in mixed.categories
+            ),
+        )
+        optimum = solve_exact_oracle(mixed)
+        opt = total_utility(mixed, optimum)
+        assert opt == best_utility(summed)
+        assert check_allocation(mixed, optimum).ok
+        for tie_break in (None, "adversarial"):
+            online_alloc = run_online(mixed, tie_break=tie_break)
+            assert online_alloc == run_online(summed, tie_break=tie_break)
+            assert check_allocation(mixed, online_alloc).ok and wasted_slots(mixed, online_alloc) == ()
+            report = build_charging_report(mixed, online_alloc, optimum)
+            assert report.bound_certified, report.failure_reason
+            assert opt <= model2_bound(mixed) * total_utility(mixed, online_alloc)
+            for agent in mixed.agents:
+                walk = availability_deviation_report(mixed, agent.id, tie_break=tie_break)
+                assert walk.outcomes == deviation_outcomes_by_rerun(summed, agent.id, tie_break=tie_break)
 
 
 class TestMetrics:

@@ -372,24 +372,32 @@ def test_values_too_long_to_print_are_described(tmp_path, capsys, command, disco
 
 @pytest.mark.parametrize("command", ["solve", "compare", "verify"])
 @pytest.mark.parametrize(
-    "fixture, category, overall_quota",
-    [(TIGHT_M1, 0, 1), (TIGHT_GEN, 1, None)],
+    "fixture, category, overall_quota, bound",
+    [(TIGHT_M1, 0, 1, "2.900000"), (TIGHT_GEN, 1, None, "2.500000")],
     ids=["overall-quotas-without-model2", "model2-without-overall-quotas"],
 )
-def test_model_mismatch_is_refused_before_any_step(tmp_path, capsys, command, fixture, category, overall_quota):
-    # Only some categories carry an overall quota: neither model fits.
+def test_model_mismatch_is_refused_before_any_step(tmp_path, capsys, command, fixture, category, overall_quota, bound):
+    # Only some categories carry an overall quota: the instance is in model
+    # 2, the other categories are uncapped, and only the flow solver refuses.
     document = json.loads(Path(fixture).read_text())
     document["categories"][category]["overall_quota"] = overall_quota
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(document))
-    extra = ["--algorithm", "online"] if command == "solve" else []
-    assert run([command, str(path), *extra]) == cli.EXIT_INVALID
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"cannot {command}: categories ['c1'] carry an overall quota and ['c2'] do not; "
-        "give every category one (model 2) or none (model 1)\n"
-    )
+    if command == "solve":
+        assert run(["solve", str(path), "--algorithm", "offline"]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot solve: offline ignores the overall quotas this instance carries; use --algorithm oracle\n"
+    elif command == "compare":
+        assert run(["compare", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "solver    : online2" in out and "solver    : oracle2" in out
+        assert f"worst-case bound     : {bound}\n" in out
+    else:
+        assert run(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] charge certificate" in out and "[PASS] worst-case ratio bound" in out
+        assert "all verification steps passed" in out
 
 
 class TestVerify:

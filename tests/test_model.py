@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -7,22 +8,36 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rationd
+from rationd.analysis import (
+    availability_deviation_report,
+    build_charging_report,
+    competitive_ratio,
+    compute_metrics,
+    model2_bound,
+    offline_optimum,
+    wasted_slots,
+)
 from rationd.model import (
     Agent,
     Allocation,
     Category,
     Instance,
+    ModelMismatch,
     TieBreakOrder,
     ValidationReport,
     Violation,
     check_allocation,
+    overall_quotas,
     total_utility,
     utility_of,
     utility_scale,
     validate_instance,
 )
+from rationd.offline import solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
+from rationd.online import run_online, run_online_with_trace
 
-from helpers import random_instance, tight_model1
+from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
 from oracles import best_utility
 
 
@@ -247,9 +262,77 @@ class TestCheckAllocation:
             discount=Fraction(1, 2),
         )
         alloc = Allocation({"a1": ("c1", 1), "a2": ("c1", 2)})
-        assert check_allocation(inst, alloc).ok
-        report = check_allocation(inst, alloc, model2=True)
-        assert report.kinds() == {"overall_quota"}
+        assert check_allocation(without_overall_quotas(inst), alloc).ok
+        assert check_allocation(inst, alloc).kinds() == {"overall_quota"}
+
+
+# Every public function that takes ``model2``, called with it on an instance.
+TAKES_MODEL2 = {
+    "availability_deviation_report": lambda inst, model2: availability_deviation_report(inst, "a1", model2=model2),
+    "build_charging_report": lambda inst, model2: build_charging_report(
+        inst, Allocation.empty(inst), Allocation.empty(inst), model2=model2
+    ),
+    "check_allocation": lambda inst, model2: check_allocation(inst, Allocation.empty(inst), model2=model2),
+    "competitive_ratio": lambda inst, model2: competitive_ratio(inst, model2=model2),
+    "overall_quotas": lambda inst, model2: overall_quotas(inst, model2=model2),
+    "run_online": lambda inst, model2: run_online(inst, model2=model2),
+    "run_online_with_trace": lambda inst, model2: run_online_with_trace(inst, model2=model2),
+    "solve_exact_oracle": lambda inst, model2: solve_exact_oracle(inst, model2=model2),
+    "wasted_slots": lambda inst, model2: wasted_slots(inst, Allocation.empty(inst), model2=model2),
+}
+
+MODEL1_ASKED = "model 1 was asked for, but categories {} carry overall quotas (model 2)"
+
+
+class TestModelRule:
+    def test_every_public_model2_parameter_is_covered(self):
+        public = (getattr(rationd, name) for name in rationd.__all__)
+        names = {f.__name__ for f in public if inspect.isfunction(f) and "model2" in inspect.signature(f).parameters}
+        assert names == set(TAKES_MODEL2)
+
+    @pytest.mark.parametrize(
+        "inst, model2, message",
+        [
+            (tight_model1(), True, "model 2 was asked for, but no category carries an overall quota (model 1)"),
+            (tight_general(), False, MODEL1_ASKED.format(["c1", "c2"])),
+        ],
+        ids=["model2-on-tight_model1", "model1-on-tight_general"],
+    )
+    @pytest.mark.parametrize("entry_point", sorted(TAKES_MODEL2))
+    def test_an_explicit_model2_must_match_the_instance(self, entry_point, inst, model2, message):
+        with pytest.raises(ModelMismatch) as raised:
+            TAKES_MODEL2[entry_point](inst, model2)
+        assert str(raised.value) == message
+        # Omitted, the instance decides.
+        TAKES_MODEL2[entry_point](inst, None)
+
+    def test_a_category_without_an_overall_quota_is_uncapped(self):
+        # tight_general with c2's overall quota dropped is in model 2, with
+        # c2 uncapped. c2 can serve at most the sum of its daily quotas, 2,
+        # which is its overall quota in tight_general: every entry point
+        # answers as it does there.
+        capped = tight_general()
+        mixed = without_overall_quotas(capped, ["c2"])
+        assert overall_quotas(mixed) == {"c1": 1}
+        optimum = solve_exact_oracle(mixed, model2=True)
+        assert optimum == solve_exact_oracle(capped) == offline_optimum(mixed, 1_000_000)
+        assert check_allocation(mixed, optimum, model2=True).ok
+        for tie_break in (None, "adversarial"):
+            online_alloc = run_online(mixed, model2=True, tie_break=tie_break)
+            assert online_alloc == run_online(capped, tie_break=tie_break)
+            assert check_allocation(mixed, online_alloc).ok
+            assert wasted_slots(mixed, online_alloc, model2=True) == ()
+            assert build_charging_report(mixed, online_alloc, optimum, model2=True).bound_certified
+            assert compute_metrics(mixed, online_alloc) == compute_metrics(capped, online_alloc)
+            for agent in mixed.agents:
+                report = availability_deviation_report(mixed, agent.id, model2=True, tie_break=tie_break)
+                assert report == availability_deviation_report(capped, agent.id, tie_break=tie_break)
+        assert competitive_ratio(mixed, model2=True, tie_break="adversarial") == model2_bound(mixed) == Fraction(5, 2)
+        # The flow solvers solve model 1 only and refuse it alike.
+        for solve in (solve_offline_model1, lambda inst: solve_offline_tiebroken(inst, None)):
+            with pytest.raises(ModelMismatch) as raised:
+                solve(mixed)
+            assert str(raised.value) == MODEL1_ASKED.format(["c1"])
 
 
 class TestTotalUtility:

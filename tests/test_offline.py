@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from rationd.offline import (
 )
 from rationd.analysis import wasted_slots
 
-from helpers import random_instance, tight_general, tight_model1
+from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
 from oracles import allocation_value, best_utility, flat_offline_allocation, iter_allocations
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
@@ -415,7 +416,7 @@ class TestExactOracle:
             inst = random_instance(rng, max_agents=6, max_days=3, max_cats=3, max_cap=2, model2=model2)
             alloc = solve_exact_oracle(inst, model2=model2)
             assert check_allocation(inst, alloc, model2=model2).ok
-            assert total_utility(inst, alloc) == best_utility(inst, model2)
+            assert total_utility(inst, alloc) == best_utility(inst)
 
     @pytest.mark.parametrize("model2", [False, True], ids=["model1", "model2"])
     @pytest.mark.parametrize(
@@ -429,13 +430,16 @@ class TestExactOracle:
     def test_ties_go_to_the_first_optimum_found(self, model2, order, expected):
         # {a1 day 1, a3 day 2} and {a2 day 1, a1 day 2} are both worth 5/8.
         # The search tries agents in instance order, each one's days
-        # earliest first, and keeps the first optimum it reaches.
+        # earliest first, and keeps the first optimum it reaches. In model 2
+        # c1's overall quota is the sum of its daily quotas, so it binds
+        # nothing.
         agents = {
             "a1": Agent("a1", Fraction(1, 2), (True, True), frozenset({"c1"})),
             "a2": Agent("a2", Fraction(3, 8), (True, False), frozenset({"c1"})),
             "a3": Agent("a3", Fraction(1, 4), (False, True), frozenset({"c1"})),
         }
-        inst = Instance(tuple(agents[a] for a in order), (Category("c1", (1, 1)),), 2, (1, 1), Fraction(1, 2))
+        category = Category("c1", (1, 1), 2 if model2 else None)
+        inst = Instance(tuple(agents[a] for a in order), (category,), 2, (1, 1), Fraction(1, 2))
         assert solve_exact_oracle(inst, model2=model2).assignment == expected
 
     def test_ties_between_categories_go_to_the_first_in_instance_order(self):
@@ -446,8 +450,8 @@ class TestExactOracle:
             (1,),
             Fraction(1, 2),
         )
-        for model2 in (False, True):
-            assert solve_exact_oracle(inst, model2=model2).assignment == {"a1": ("c2", 1)}
+        for instance in (without_overall_quotas(inst), inst):
+            assert solve_exact_oracle(instance).assignment == {"a1": ("c2", 1)}
 
     def test_ties_under_overall_quotas(self):
         both = frozenset({"c1", "c2"})
@@ -462,8 +466,9 @@ class TestExactOracle:
             (2, 2),
             Fraction(1, 2),
         )
-        assert solve_exact_oracle(inst).assignment == {"a1": ("c1", 1), "a2": ("c2", 1), "a3": ("c2", 2)}
-        assert solve_exact_oracle(inst, model2=True).assignment == {"a1": ("c1", 1), "a2": ("c2", 1), "a3": None}
+        relaxed = without_overall_quotas(inst)
+        assert solve_exact_oracle(relaxed).assignment == {"a1": ("c1", 1), "a2": ("c2", 1), "a3": ("c2", 2)}
+        assert solve_exact_oracle(inst).assignment == {"a1": ("c1", 1), "a2": ("c2", 1), "a3": None}
 
     def test_a_margin_below_float_resolution_decides(self):
         # Two agents, one slot on each of two days. Serving "hi" first beats
@@ -481,10 +486,11 @@ class TestExactOracle:
         )
         best, runner_up = hi + lo * discount, lo + hi * discount
         assert best > runner_up and float(best) == float(runner_up)
-        for model2 in (False, True):
-            alloc = solve_exact_oracle(inst, model2=model2)
+        # c1's overall quota, the sum of its daily quotas, binds nothing.
+        for instance in (inst, replace(inst, categories=(Category("c1", (1, 1), 2),))):
+            alloc = solve_exact_oracle(instance)
             assert alloc.assignment == {"lo": ("c1", 2), "hi": ("c1", 1)}
-            assert total_utility(inst, alloc) == best
+            assert total_utility(instance, alloc) == best
 
     def test_tight_general_value(self):
         inst = tight_general()
@@ -495,11 +501,12 @@ class TestExactOracle:
 
     def test_overall_quotas_only_bind_under_model2(self):
         inst = tight_general()
-        unbound = solve_exact_oracle(inst, model2=False)
-        bound = solve_exact_oracle(inst, model2=True)
-        assert total_utility(inst, unbound) >= total_utility(inst, bound)
-        assert total_utility(inst, unbound) == best_utility(inst, model2=False)
-        assert total_utility(inst, bound) == best_utility(inst, model2=True)
+        relaxed = without_overall_quotas(inst)
+        unbound = solve_exact_oracle(relaxed)
+        bound = solve_exact_oracle(inst)
+        assert total_utility(relaxed, unbound) >= total_utility(inst, bound)
+        assert total_utility(relaxed, unbound) == best_utility(relaxed)
+        assert total_utility(inst, bound) == best_utility(inst)
 
     def test_empty_instance(self):
         inst = Instance((), (), 1, (1,), Fraction(1, 2))

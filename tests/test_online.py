@@ -214,11 +214,6 @@ class TestRunOnline:
         assert alloc.matched_count() == 5
         assert all(day == 1 for _a, _c, day in alloc.matched())
 
-    def test_model2_requires_overall_quotas(self):
-        inst = tight_model1()  # categories carry no overall quota
-        with pytest.raises(ValueError, match="overall quota"):
-            run_online(inst, model2=True)
-
     def test_per_day_feasibility_and_final_check(self):
         rng = random.Random(77)
         for _ in range(50):
