@@ -13,6 +13,7 @@ from .model import (
     Allocation,
     Category,
     Instance,
+    MalformedInstance,
     ModelMismatch,
     TieBreakOrder,
     ValidationReport,
@@ -87,6 +88,7 @@ __all__ = [
     "GroupSpec",
     "InfiniteRatioError",
     "Instance",
+    "MalformedInstance",
     "MetricsSeries",
     "ModelMismatch",
     "NegativeCycleError",

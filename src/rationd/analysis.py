@@ -73,8 +73,7 @@ def competitive_ratio(
 
     The offline side is :func:`offline_optimum`. Raises
     :class:`InfiniteRatioError` if the online run earns nothing while the
-    optimum is positive (the worst-case bounds rule this out for
-    well-formed inputs).
+    optimum is positive (the worst-case bounds rule this out).
     """
     online_alloc = run_online(instance, model2=model2, tie_break=tie_break)
     best = offline_optimum(instance, oracle_budget)
@@ -384,7 +383,7 @@ def availability_deviation_report(
     agent = next((a for a in instance.agents if a.id == agent_id), None)
     if agent is None:
         raise ValueError(f"unknown agent {agent_id!r}")
-    ranking, remaining = online._start(instance, model2, tie_break)
+    ranking, remaining = online._ranking(instance, tie_break), overall_quotas(instance, model2)
     position = {a: i for i, a in enumerate(ranking.order)}
     rank = position[agent_id]
     pool = [a for a in ranking.order if a != agent_id]

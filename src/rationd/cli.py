@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import analysis, data
-from .model import Allocation, Instance, TieBreak, TieBreakOrder, check_allocation, overall_quotas, precedence, total_utility, validate_instance
+from .model import Allocation, Instance, MalformedInstance, TieBreak, TieBreakOrder, check_allocation, overall_quotas, precedence, total_utility
 from .offline import OracleBudgetExceeded, solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
 from .online import run_online, run_online_with_trace
 
@@ -115,17 +115,6 @@ def _parse_tie_break(text: str | None, instance: Instance) -> TieBreak:
     return tie
 
 
-def _load_instance_or_fail(path: str) -> Instance:
-    """The validated instance at ``path``; exit before any step otherwise."""
-    instance = data.read_instance(path)
-    report = validate_instance(instance)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"invalid instance: {violation.message}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-    return instance
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     config = data.read_generator_config(args.config)
     if args.seed is not None:
@@ -136,16 +125,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"invalid generator config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     instance = data.generate(config)
-    if not validate_instance(instance).ok:
-        print("generator produced an invalid instance (bug)", file=sys.stderr)
-        return EXIT_INVALID
     data.write_instance(instance, args.out, provenance=data.config_to_document(config))
     print(f"wrote {args.out}: {len(instance.agents)} agents, {instance.num_days} days, {len(instance.categories)} categories")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_fail(args.instance)
+    instance = data.read_instance(args.instance)
     model2 = bool(overall_quotas(instance))
     try:
         tie_break = _parse_tie_break(args.tie_break, instance)
@@ -184,7 +170,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_fail(args.instance)
+    instance = data.read_instance(args.instance)
     model2 = bool(overall_quotas(instance))
     try:
         tie_break = _parse_tie_break(args.tie_break, instance)
@@ -244,7 +230,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load_instance_or_fail(args.instance)
+    instance = data.read_instance(args.instance)
     failures = 0
     skips = 0
 
@@ -277,10 +263,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         offline_alloc = analysis.offline_optimum(instance, args.budget)
     except OracleBudgetExceeded as exc:
-        print(f"[SKIP] charge certificate (budget exceeded: {exc})")
-        skips += 1
-        offline_alloc = None
-    if offline_alloc is not None:
+        for step in ("charge certificate", "worst-case ratio bound"):
+            print(f"[SKIP] {step} (budget exceeded: {exc})")
+            skips += 1
+    else:
         report = analysis.build_charging_report(instance, online_alloc, offline_alloc)
         outcome(
             "charge certificate",
@@ -367,12 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     except data.DataFormatError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MalformedInstance as exc:
+        for violation in exc.report.violations:
+            print(f"invalid instance: {violation.message}", file=sys.stderr)
+        return EXIT_INVALID
     except OSError as exc:
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_INVALID
 
 
 def entry_point() -> None:

@@ -20,22 +20,13 @@ from importlib import resources
 from typing import Any, Mapping
 
 from .analysis import MetricsSeries, check_group_labels
-from .model import Agent, Allocation, Category, Instance
+from .model import Agent, Allocation, Category, Instance, shown
 
 SCHEMA_VERSION = 1
 
 
 class DataFormatError(ValueError):
     """A document failed to parse; the message names the offending field."""
-
-
-def _shown(value: object) -> str:
-    """``repr(value)`` for an error message. An integer with more digits
-    than Python prints (4,300 by default) is described instead."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +64,7 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 def parse_rational(text: object, where: str) -> Fraction:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise DataFormatError(f"{where}: expected a rational encoded as a string, got {_shown(text)}")
+        raise DataFormatError(f"{where}: expected a rational encoded as a string, got {shown(text)}")
     try:
         text = str(text)
         exponent = _EXPONENT.search(text)
@@ -83,7 +74,7 @@ def parse_rational(text: object, where: str) -> Fraction:
                 raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DataFormatError(f"{where}: cannot parse rational {_shown(text)}: {exc}") from None
+        raise DataFormatError(f"{where}: cannot parse rational {shown(text)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +86,7 @@ def _name(value: Any, where: str) -> str:
     try:
         return str(value)
     except ValueError:
-        raise DataFormatError(f"{where}: {_shown(value)} cannot be used as a name") from None
+        raise DataFormatError(f"{where}: {shown(value)} cannot be used as a name") from None
 
 
 def _expect(document: Mapping[str, Any], key: str, where: str) -> Any:
@@ -107,7 +98,7 @@ def _expect(document: Mapping[str, Any], key: str, where: str) -> Any:
 def _check_version(document: Mapping[str, Any], where: str) -> None:
     version = _expect(document, "schema_version", where)
     if version != SCHEMA_VERSION:
-        raise DataFormatError(f"{where}: schema_version {_shown(version)} is not supported (expected {SCHEMA_VERSION})")
+        raise DataFormatError(f"{where}: schema_version {shown(version)} is not supported (expected {SCHEMA_VERSION})")
 
 
 def instance_to_document(instance: Instance, provenance: Mapping[str, Any] | None = None) -> dict[str, Any]:
@@ -146,7 +137,7 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
         raise DataFormatError(f"{where}: expected an object")
     _check_version(document, where)
     if _expect(document, "kind", where) != "instance":
-        raise DataFormatError(f"{where}: kind is {_shown(document['kind'])}, expected 'instance'")
+        raise DataFormatError(f"{where}: kind is {shown(document['kind'])}, expected 'instance'")
     num_days = _integer(_expect(document, "num_days", where), f"{where}.num_days")
     supply = _expect(document, "daily_supply", where)
     if not isinstance(supply, list) or not all(isinstance(s, int) for s in supply):
@@ -251,7 +242,7 @@ def allocation_from_document(document: Mapping[str, Any], where: str = "allocati
         raise DataFormatError(f"{where}: expected an object")
     _check_version(document, where)
     if _expect(document, "kind", where) != "allocation":
-        raise DataFormatError(f"{where}: kind is {_shown(document['kind'])}, expected 'allocation'")
+        raise DataFormatError(f"{where}: kind is {shown(document['kind'])}, expected 'allocation'")
     raw = _expect(document, "assignment", where)
     if not isinstance(raw, Mapping):
         raise DataFormatError(f"{where}.assignment: expected an object")
@@ -459,18 +450,18 @@ def config_to_document(config: GeneratorConfig) -> dict[str, Any]:
 def _integer(value: Any, where: str) -> int:
     """A JSON integer; booleans and non-integral numbers are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DataFormatError(f"{where}: expected int, got {_shown(value)}")
+        raise DataFormatError(f"{where}: expected int, got {shown(value)}")
     return value
 
 
 def _real(value: Any, where: str) -> float:
     """A JSON number (not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(f"{where}: expected float, got {_shown(value)}")
+        raise DataFormatError(f"{where}: expected float, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise DataFormatError(f"{where}: {_shown(value)} is out of float range") from None
+        raise DataFormatError(f"{where}: {shown(value)} is out of float range") from None
 
 
 def config_from_document(document: Mapping[str, Any], where: str = "config") -> GeneratorConfig:

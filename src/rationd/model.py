@@ -25,7 +25,7 @@ Slot = Optional[tuple[str, int]]
 
 @dataclass(frozen=True, slots=True)
 class Agent:
-    """One participant. ``priority`` must lie strictly between 0 and 1."""
+    """One participant. ``priority`` must be a Fraction strictly between 0 and 1."""
 
     id: str
     priority: Fraction
@@ -51,11 +51,20 @@ class Category:
 
 @dataclass(frozen=True, slots=True)
 class Instance:
+    """A rationing horizon, well-formed by construction: building one, by
+    ``dataclasses.replace`` too, runs :func:`validate_instance`. The fields
+    are immutable as typed, so nothing checks an instance again."""
+
     agents: tuple[Agent, ...]
     categories: tuple[Category, ...]
     num_days: int
     daily_supply: tuple[int, ...]
     discount: Fraction
+
+    def __post_init__(self) -> None:
+        report = validate_instance(self)
+        if not report.ok:
+            raise MalformedInstance(report)
 
     def agent_map(self) -> dict[str, Agent]:
         return {a.id: a for a in self.agents}
@@ -206,22 +215,44 @@ class ValidationReport:
         return {v.kind for v in self.violations}
 
 
+class MalformedInstance(ValueError):
+    """An instance that :func:`validate_instance` flags; ``report`` holds
+    every problem, and the message names the first."""
+
+    def __init__(self, report: ValidationReport) -> None:
+        first = report.violations[0]
+        super().__init__(f"instance is not well-formed ({len(report.violations)} problems; first: {first.message})")
+        self.report = report
+
+
 def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _in_unit_interval(value: object) -> bool:
-    """``0 < value < 1``; a Fraction (normalized, so its denominator is
-    positive) is checked on its integer parts, without rational arithmetic."""
-    if type(value) is Fraction:
-        return 0 < value.numerator < value.denominator
-    return 0 < value < 1
+def shown(value: object) -> str:
+    """``value`` for an error message: a Fraction as ``p/q``, anything else
+    by its ``repr``. A number with more digits than Python prints (4,300 by
+    default) is described instead."""
+    try:
+        return str(value) if isinstance(value, Fraction) else repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _unit_interval_problem(value: object, rule: str) -> str | None:
+    """What is wrong with ``value`` as a Fraction strictly between 0 and 1,
+    ``rule`` wording the range, or None. A Fraction (normalized, so its
+    denominator is positive) or an int is checked on its integer parts."""
+    if not isinstance(value, (Fraction, int)):
+        return f"must be an exact Fraction, got {shown(value)} ({type(value).__name__})"
+    return None if 0 < value.numerator < value.denominator else f"{rule}, got {shown(value)}"
 
 
 def validate_instance(instance: Instance) -> ValidationReport:
     """Report every structural problem of an instance; empty report == well-formed.
 
-    Nothing is raised: callers that accept untrusted input inspect the report.
+    Nothing is raised: this is the report :class:`Instance` runs at
+    construction, so every instance that exists has an empty one.
     """
     bad: list[Violation] = []
 
@@ -229,18 +260,18 @@ def validate_instance(instance: Instance) -> ValidationReport:
         bad.append(Violation(kind, subjects, message))
 
     if not _is_count(instance.num_days) or instance.num_days < 1:
-        flag("structure", (), f"num_days must be a positive integer, got {instance.num_days!r}")
+        flag("structure", (), f"num_days must be a positive integer, got {shown(instance.num_days)}")
     if len(instance.daily_supply) != instance.num_days:
         flag(
             "structure",
             (),
-            f"daily_supply has length {len(instance.daily_supply)}, expected {instance.num_days}",
+            f"daily_supply has length {len(instance.daily_supply)}, expected {shown(instance.num_days)}",
         )
     for day, supply in enumerate(instance.daily_supply, start=1):
         if not _is_count(supply):
             flag("structure", (str(day),), f"daily supply for day {day} must be a non-negative integer")
-    if not _in_unit_interval(instance.discount):
-        flag("discount", (), f"discount must lie strictly between 0 and 1, got {instance.discount}")
+    if problem := _unit_interval_problem(instance.discount, "must lie strictly between 0 and 1"):
+        flag("discount", (), f"discount {problem}")
 
     seen_categories: set[str] = set()
     for category in instance.categories:
@@ -251,7 +282,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
             flag(
                 "structure",
                 (category.id,),
-                f"category {category.id!r} has {len(category.daily_quota)} daily quotas, expected {instance.num_days}",
+                f"category {category.id!r} has {len(category.daily_quota)} daily quotas, expected {shown(instance.num_days)}",
             )
         if any(not _is_count(q) for q in category.daily_quota):
             flag("structure", (category.id,), f"category {category.id!r} has a negative or non-integer daily quota")
@@ -271,10 +302,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
             flag(
                 "availability",
                 (agent.id,),
-                f"agent {agent.id!r} has an availability vector of length {len(agent.availability)}, expected {instance.num_days}",
+                f"agent {agent.id!r} has an availability vector of length {len(agent.availability)}, expected {shown(instance.num_days)}",
             )
-        if not _in_unit_interval(agent.priority):
-            flag("priority", (agent.id,), f"agent {agent.id!r} priority must lie strictly in (0, 1), got {agent.priority}")
+        if problem := _unit_interval_problem(agent.priority, "must lie strictly in (0, 1)"):
+            flag("priority", (agent.id,), f"agent {agent.id!r} priority {problem}")
         if not agent.eligible <= seen_categories:
             for cat_id in sorted(agent.eligible - seen_categories):
                 flag("eligibility", (agent.id, cat_id), f"agent {agent.id!r} is eligible for unknown category {cat_id!r}")

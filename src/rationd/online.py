@@ -43,10 +43,13 @@ import logging
 from dataclasses import dataclass
 from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping, Sequence
 
-# Not called here. ``perfbench/spans.py`` wraps this name on this module to
-# count flow solves, so the import stays until the tracer stops asking for it.
+from .model import Allocation, Instance, TieBreak, overall_quotas, precedence, priority_keys
+
+# Not called here. ``perfbench/spans.py`` wraps these names on this module to
+# count flow solves and instance validations, so the imports stay until the
+# tracer stops asking for them.
 from .flow import solve_profitable_flow  # noqa: F401
-from .model import Allocation, Instance, TieBreak, overall_quotas, precedence, priority_keys, validate_instance
+from .model import validate_instance  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -275,19 +278,6 @@ def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
     return frozenset(seat.items())
 
 
-def _start(instance: Instance, model2: bool | None, tie_break: TieBreak) -> tuple[_Ranking, dict[str, int]]:
-    """Check a run's inputs and return its ranking and the overall quotas
-    left at the start (:func:`~rationd.model.overall_quotas`).
-
-    Raises ValueError for an instance that is not well-formed, a ``model2``
-    that disagrees with it, or an unknown tie-break.
-    """
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError(f"instance is not well-formed: {report.violations[0].message}")
-    return _ranking(instance, tie_break), overall_quotas(instance, model2)
-
-
 def _run_days(instance: Instance, ranking: _Ranking, pool: list[str], remaining: dict[str, int]) -> Iterator[DayTrace]:
     """The greedy day loop over the whole horizon, one trace per day,
     yielded once the day is matched and before it is committed.
@@ -315,8 +305,10 @@ def run_online_with_trace(
     instance: Instance, model2: bool | None = None, tie_break: TieBreak = None
 ) -> tuple[Allocation, tuple[DayTrace, ...]]:
     """Run the greedy day loop and keep each day's graph and matching; the
-    overall quotas are those of :func:`~rationd.model.overall_quotas`."""
-    ranking, remaining = _start(instance, model2, tie_break)
+    overall quotas are those of :func:`~rationd.model.overall_quotas`.
+    Raises ValueError for an unknown tie-break or a ``model2`` that
+    disagrees with the instance."""
+    ranking, remaining = _ranking(instance, tie_break), overall_quotas(instance, model2)
     traces = tuple(_run_days(instance, ranking, list(ranking.order), remaining))
     assignment: dict[str, tuple[str, int] | None] = {a.id: None for a in instance.agents}
     for trace in traces:

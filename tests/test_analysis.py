@@ -148,10 +148,11 @@ class TestChargingReport:
         assert report.failure_day == 2
         assert "'hi'" in report.failure_reason
 
-    def test_a_factor_that_is_not_the_true_ratio_names_its_charger(self):
-        # h1, h2 (1/2) are served online on day 1, l1 (1/5) and l2 (3/10)
-        # offline. Swapping the true factors 2/5 and 3/5 keeps each within
-        # its limit and their sum right, but not either charge.
+    @staticmethod
+    def certify_two_for_two(charges):
+        """``_certify`` on doctored ``charges`` where h1, h2 (1/2) are served
+        online on day 1 and l1 (1/5), l2 (3/10) offline; the true factors
+        are l1 -> h1 at 2/5 and l2 -> h2 at 3/5."""
         priorities = {"h1": Fraction(1, 2), "h2": Fraction(1, 2), "l1": Fraction(1, 5), "l2": Fraction(3, 10)}
         inst = Instance(
             agents=tuple(Agent(a, p, (True,), frozenset({"c1"})) for a, p in priorities.items()),
@@ -162,15 +163,45 @@ class TestChargingReport:
         )
         online_alloc = Allocation({"h1": ("c1", 1), "h2": ("c1", 1), "l1": None, "l2": None})
         offline_alloc = Allocation({"h1": None, "h2": None, "l1": ("c1", 1), "l2": ("c1", 1)})
+        return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, frozenset(), charges, {})
 
+    def test_a_factor_that_is_not_the_true_ratio_names_its_charger(self):
+        # Swapping the true factors 2/5 and 3/5 keeps each within its limit
+        # and their sum right, but not either charge.
         def certify(f1, f2):
-            charges = [Charge("l1", "h1", f1, SAME_DAY), Charge("l2", "h2", f2, SAME_DAY)]
-            return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, frozenset(), charges, {})
+            return self.certify_two_for_two([Charge("l1", "h1", f1, SAME_DAY), Charge("l2", "h2", f2, SAME_DAY)])
 
         assert certify(Fraction(2, 5), Fraction(3, 5)).bound_certified
         report = certify(Fraction(3, 5), Fraction(2, 5))
         assert not report.bound_certified
         assert "'l1'" in report.failure_reason and "'l2'" not in report.failure_reason
+
+    @pytest.mark.parametrize(
+        "charges, reason",
+        [
+            (
+                [Charge("l1", "h1", Fraction(2, 5), SAME_DAY)],
+                "chargers do not cover the offline-matched agents exactly once",
+            ),
+            (
+                [Charge("l1", "l2", Fraction(2, 3), SAME_DAY), Charge("l2", "h2", Fraction(3, 5), SAME_DAY)],
+                "target 'l2' is not online-matched",
+            ),
+            (
+                [Charge("l1", "h1", Fraction(2, 5), SAME_DAY), Charge("l2", "h2", Fraction(3, 2), SAME_DAY)],
+                "same_day factor 3/2 of 'l2' -> 'h2' exceeds 1",
+            ),
+            (
+                [Charge("l1", "h1", Fraction(2, 5), SAME_DAY), Charge("l2", "h1", Fraction(3, 5), SAME_DAY)],
+                "target 'h1' carries repeated charge kinds ['same_day', 'same_day']",
+            ),
+        ],
+        ids=["chargers-not-covering", "target-not-online-matched", "factor-above-limit", "repeated-kinds"],
+    )
+    def test_a_doctored_charge_list_is_refused(self, charges, reason):
+        report = self.certify_two_for_two(charges)
+        assert not report.bound_certified
+        assert report.failure_reason == reason
 
     def test_an_overflow_charge_needs_a_capped_category(self):
         # a2 charges a1 by overflow under c1, a2's offline category.
@@ -333,13 +364,12 @@ class TestDeviations:
     @pytest.mark.parametrize(
         "inst, model2, tie_break",
         [
-            (replace(tight_model1(), discount=Fraction(1)), False, None),
             (tight_model1(), True, None),
             (tight_general(), False, None),
             (tight_model1(), False, "sideways"),
             (tight_model1(), False, TieBreakOrder(("a1",))),
         ],
-        ids=["ill-formed", "model2-without-quotas", "model1-with-quotas", "unknown-mode", "partial-order"],
+        ids=["model2-without-quotas", "model1-with-quotas", "unknown-mode", "partial-order"],
     )
     def test_rejects_what_run_online_rejects(self, inst, model2, tie_break):
         with pytest.raises(ValueError) as expected:

@@ -106,7 +106,7 @@ class TestGenerate:
         out = tmp_path / "inst.json"
         assert run(["generate", "--config", self.config_file(tmp_path), "--out", str(out)]) == cli.EXIT_INVALID
         captured = capsys.readouterr()
-        assert captured.out == "" and "generator produced an invalid instance (bug)" in captured.err
+        assert captured.out == "" and captured.err == "invalid instance: discount must lie strictly between 0 and 1, got 1\n"
         assert not out.exists()
 
 
@@ -257,6 +257,12 @@ class TestCompare:
         out = capsys.readouterr().out
         assert f"optimal/online ratio : {ratio} [tight]" in out
         assert f"worst-case bound     : {ratio}" in out
+
+    def test_budget_exceeded(self, capsys):
+        assert run(["compare", TIGHT_GEN, "--budget", "1"]) == cli.EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ")
 
     def test_single_agent_ratio_one(self, tmp_path, capsys):
         document = {
@@ -416,6 +422,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL] supplied allocation feasible" in out
 
+    def test_budget_skips_both_steps_that_need_the_optimum(self, capsys):
+        assert run(["verify", TIGHT_GEN, "--budget", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        reason = "(budget exceeded: instance sizing 3 agents x 2 days x 2 categories exceeds the oracle budget 1)"
+        assert [line for line in lines if line.startswith("[SKIP]")] == [
+            f"[SKIP] charge certificate {reason}",
+            f"[SKIP] worst-case ratio bound {reason}",
+        ]
+        assert lines[-1] == "all verification steps passed (2 skipped)"
+
     def test_seed_picks_the_probed_agents(self, monkeypatch, capsys):
         probed = []
         real = analysis.availability_deviation_report
@@ -465,6 +481,22 @@ class TestVerify:
     def test_zero_deviation_agents_probes_nobody(self, capsys):
         assert run(["verify", TIGHT_M1, "--deviation-agents", "0"]) == 0
         assert "under-reports" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "oracle"], ["compare"], ["verify"]])
+def test_malformed_instance_lists_every_violation(tmp_path, capsys, command):
+    document = instance_to_document(tight_model1())
+    document["discount"] = "1"
+    next(agent for agent in document["agents"] if agent["id"] == "a2")["priority"] = "3/2"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert run([command[0], str(path), *command[1:]]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid instance: discount must lie strictly between 0 and 1, got 1\n"
+        "invalid instance: agent 'a2' priority must lie strictly in (0, 1), got 3/2\n"
+    )
 
 
 @pytest.mark.parametrize("command", [["solve", "--algorithm", "oracle"], ["compare"], ["verify"]])

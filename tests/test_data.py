@@ -26,7 +26,7 @@ from rationd.data import (
     write_allocation,
     write_instance,
 )
-from rationd.model import Allocation, validate_instance
+from rationd.model import Allocation, MalformedInstance, validate_instance
 from rationd.analysis import compute_metrics
 from rationd.online import run_online
 
@@ -326,17 +326,19 @@ READERS = {
 
 
 def _read_or_refuse(reader, document):
-    """Read ``document``; a DataFormatError is a refusal, any other exception
-    fails the test."""
+    """Read ``document``; a DataFormatError, or a MalformedInstance for a
+    parsed instance that breaks a model rule, is a refusal, and any other
+    exception fails the test."""
     try:
         reader(document)
-    except DataFormatError:
+    except (DataFormatError, MalformedInstance):
         pass
 
 
 class TestReaderFuzz:
     """Whatever JSON arrives, a reader returns a value or raises
-    DataFormatError."""
+    DataFormatError, or MalformedInstance for a parsed instance that breaks
+    a model rule."""
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_every_value_replaced_by_every_edge_value(self, kind):

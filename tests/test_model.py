@@ -4,6 +4,7 @@ import inspect
 import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from rationd.model import (
     Allocation,
     Category,
     Instance,
+    MalformedInstance,
     ModelMismatch,
     TieBreakOrder,
     ValidationReport,
@@ -55,52 +57,66 @@ def two_agent_instance():
     )
 
 
+def refused(*args, **kwargs) -> ValidationReport:
+    """The report of the MalformedInstance that ``Instance(*args, **kwargs)``
+    raises, after checking that it is the report ``validate_instance`` gives
+    for those fields and that the message names its first violation."""
+    with pytest.raises(MalformedInstance) as raised:
+        Instance(*args, **kwargs)
+    report = raised.value.report
+    fields = dict(zip((f.name for f in dataclasses.fields(Instance)), args), **kwargs)
+    assert report == validate_instance(SimpleNamespace(**fields))
+    first = report.violations[0].message
+    assert str(raised.value) == f"instance is not well-formed ({len(report.violations)} problems; first: {first})"
+    return report
+
+
 class TestValidateInstance:
     def test_well_formed(self):
         assert validate_instance(two_agent_instance()).ok
 
     def test_short_availability_vector(self):
         inst = two_agent_instance()
-        bad = Instance(
+        report = refused(
             agents=(inst.agents[0], Agent("a2", Fraction(1, 2), (True,), frozenset({"c1"}))),
             categories=inst.categories,
             num_days=2,
             daily_supply=(1, 1),
             discount=Fraction(1, 2),
         )
-        report = validate_instance(bad)
         assert len(report.violations) == 1
         assert report.violations[0].kind == "availability"
         assert "a2" in report.violations[0].subjects
 
     def test_discount_boundary(self):
         inst = two_agent_instance()
-        bad = Instance(inst.agents, inst.categories, 2, (1, 1), Fraction(1))
-        report = validate_instance(bad)
-        assert report.kinds() == {"discount"}
+        assert refused(inst.agents, inst.categories, 2, (1, 1), Fraction(1)).kinds() == {"discount"}
+
+    def test_replace_validates_again(self):
+        inst = two_agent_instance()
+        with pytest.raises(MalformedInstance) as raised:
+            dataclasses.replace(inst, discount=Fraction(1))
+        assert raised.value.report == refused(inst.agents, inst.categories, 2, (1, 1), Fraction(1))
 
     def test_boolean_num_days_is_flagged(self):
-        inst = Instance((), (Category("c1", (1,)),), True, (1,), Fraction(1, 2))
-        assert validate_instance(inst).kinds() == {"structure"}
+        assert refused((), (Category("c1", (1,)),), True, (1,), Fraction(1, 2)).kinds() == {"structure"}
 
     def test_priority_bounds_and_unknown_category(self):
-        inst = Instance(
+        kinds = refused(
             agents=(Agent("a1", Fraction(0), (True,), frozenset({"ghost"})),),
             categories=(Category("c1", (1,)),),
             num_days=1,
             daily_supply=(1,),
             discount=Fraction(1, 2),
-        )
-        kinds = validate_instance(inst).kinds()
+        ).kinds()
         assert "priority" in kinds and "eligibility" in kinds
 
     def test_priority_edge_values(self):
-        # Fractions are checked on their integer parts, anything else by
-        # comparison; the report is the same either way.
+        # Fractions are checked on their integer parts, and no int lies
+        # strictly between 0 and 1; the message is the same for both.
         priorities = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), 0, 1, Fraction(1, 2)]
         agents = tuple(Agent(f"a{k}", p, (True,), frozenset({"c1"})) for k, p in enumerate(priorities))
         agents += (Agent("ghost", Fraction(1, 3), (True,), frozenset({"c1", "zz", "c0"})),)
-        inst = Instance(agents, (Category("c1", (1,)),), 1, (1,), Fraction(1, 2))
 
         def priority(k, shown):
             return Violation("priority", (f"a{k}",), f"agent 'a{k}' priority must lie strictly in (0, 1), got {shown}")
@@ -113,10 +129,26 @@ class TestValidateInstance:
             unknown("c0"),
             unknown("zz"),
         )
-        assert validate_instance(inst) == ValidationReport(expected)
+        assert refused(agents, (Category("c1", (1,)),), 1, (1,), Fraction(1, 2)) == ValidationReport(expected)
+
+    def test_inexact_priority_and_discount_are_refused(self):
+        # A float inside (0, 1) is still refused: utilities are exact.
+        inst = two_agent_instance()
+        floating = (Agent("a1", 0.5, (True, True), frozenset({"c1"})), inst.agents[1])
+        assert refused(floating, inst.categories, 2, (1, 1), Fraction(1, 2)) == ValidationReport(
+            (Violation("priority", ("a1",), "agent 'a1' priority must be an exact Fraction, got 0.5 (float)"),)
+        )
+        assert refused(inst.agents, inst.categories, 2, (1, 1), 0.5) == ValidationReport(
+            (Violation("discount", (), "discount must be an exact Fraction, got 0.5 (float)"),)
+        )
+
+    def test_a_number_too_long_to_print_is_described(self):
+        assert refused((), (), 10**4300, (), Fraction(1, 2)) == ValidationReport(
+            (Violation("structure", (), "daily_supply has length 0, expected <int too long to print>"),)
+        )
 
     def test_duplicate_ids(self):
-        inst = Instance(
+        report = refused(
             agents=(
                 Agent("a1", Fraction(1, 2), (True,), frozenset()),
                 Agent("a1", Fraction(1, 2), (True,), frozenset()),
@@ -126,7 +158,7 @@ class TestValidateInstance:
             daily_supply=(1,),
             discount=Fraction(1, 2),
         )
-        assert sum(1 for v in validate_instance(inst).violations if v.kind == "duplicate") == 2
+        assert sum(1 for v in report.violations if v.kind == "duplicate") == 2
 
 
 class TestDataclasses:

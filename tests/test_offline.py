@@ -519,6 +519,14 @@ class TestExactOracle:
         with pytest.raises(OracleBudgetExceeded):
             solve_exact_oracle(inst, budget=1)
 
+    def test_budget_refusal_inside_the_search(self):
+        # 8 x 2 x 2 = 32 passes the size check against 50; the search then
+        # needs more than 50 nodes.
+        agents = tuple(Agent(f"a{k}", Fraction(1, 2), (True, True), frozenset({"c1", "c2"})) for k in range(8))
+        inst = Instance(agents, (Category("c1", (2, 2)), Category("c2", (2, 2))), 2, (3, 3), Fraction(1, 2))
+        with pytest.raises(OracleBudgetExceeded, match="^oracle search exceeded its budget of 50 nodes$"):
+            solve_exact_oracle(inst, budget=50)
+
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         # One search level per agent: 1,200 levels, within the default budget.
         n = 1200

@@ -8,11 +8,15 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rationd"
 LAYERS = ("model", "flow", "offline", "online", "analysis", "data", "cli")
 
 
+def syntax(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def relative_imports(module: str) -> set[str]:
     """The package modules ``module`` imports, by ``from .x import ...`` or
     ``from . import x``."""
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+    for node in ast.walk(syntax(module)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module:
                 found.add(node.module.split(".")[0])
@@ -21,17 +25,20 @@ def relative_imports(module: str) -> set[str]:
     return found
 
 
-def names_used(module: str) -> set[str]:
-    """Every name ``module`` reads, imports or looks up as an attribute."""
+def names_read(module: str) -> set[str]:
+    """Every name ``module`` reads or looks up as an attribute, imports aside."""
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+    for node in ast.walk(syntax(module)):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
     return found
+
+
+def names_used(module: str) -> set[str]:
+    """Every name ``module`` reads, imports or looks up as an attribute."""
+    return names_read(module) | {node.name for node in ast.walk(syntax(module)) if isinstance(node, ast.alias)}
 
 
 def test_public_surface_resolves():
@@ -60,3 +67,12 @@ def test_only_model_scales_utilities():
     for module in LAYERS:
         if module != "model":
             assert not {"lcm", "utility_of"} & names_used(module), module
+
+
+def test_only_model_validates_instances():
+    # An Instance validates itself when it is built, so no other module
+    # checks one again; importing validate_instance (for a tracer to wrap)
+    # is allowed.
+    for module in LAYERS:
+        if module != "model":
+            assert "validate_instance" not in names_read(module), module
