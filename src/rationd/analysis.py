@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .model import Allocation, Instance, TieBreak, UtilityScale, overall_quotas, total_utility, utility_scale
 from .offline import solve_exact_oracle, solve_offline_model1
@@ -166,28 +166,37 @@ def build_charging_report(
     """Assign every offline-matched agent a unique online-matched target.
 
     Agents served earlier online than offline charge themselves with the
-    exact discount gap. Every other offline-matched agent is a charger, and
-    one injective matching gives each charger a slot of its own (see
-    :class:`ChargingReport` for why the slots suffice):
+    exact discount gap. Every other offline-matched agent is a charger. In
+    order of offline day, then priority descending, one matching seats the
+    chargers on buckets of interchangeable targets (see
+    :class:`ChargingReport` for why they suffice), each seating as many
+    chargers as it has members:
 
-    * ``(t, SAME_DAY)`` for each ``t`` matched online on the charger's
-      offline day with at least its priority, the charger itself first;
-    * when the charger's offline category is capped, ``(t, OVERFLOW)`` for
-      each ``t`` matched online on an earlier day under it, once the online
-      run has used up its overall quota by the end of the charger's day.
+    * ``(SAME_DAY, day, key)``, the agents matched online on ``day`` with
+      priority key ``key``: open to the chargers of that offline day with
+      at most that key;
+    * ``(OVERFLOW, category, day)``, the agents matched online on ``day``
+      under a capped ``category``: open to its chargers of later days once
+      the online run has used up its overall quota by the end of theirs.
 
-    A charger left without a slot makes the report uncertified, with its
-    day as the witness. Failures are reported, never raised.
+    A charger seated on its own same-day bucket charges itself, and the
+    others take their bucket's remaining members in allocation order. A
+    charger left without a seat makes the report uncertified, with its day
+    as the witness. Failures are reported, never raised.
     """
     capped = overall_quotas(instance, model2)
     scale = utility_scale(instance)
     key = scale.keys
 
-    online_by_day: dict[int, list[str]] = defaultdict(list)
-    online_under_cat: dict[str, list[tuple[int, str]]] = defaultdict(list)
+    members: dict[tuple, list[str]] = defaultdict(list)
     for agent_id, cat_id, day in online_alloc.matched():
-        online_by_day[day].append(agent_id)
-        online_under_cat[cat_id].append((day, agent_id))
+        members[(SAME_DAY, day, key[agent_id])].append(agent_id)
+        if cat_id in capped:
+            members[(OVERFLOW, cat_id, day)].append(agent_id)
+    # Each day's same-day buckets by key, each category's overflow by day.
+    groups: dict[tuple, list[tuple]] = defaultdict(list)
+    for bucket in sorted(members):
+        groups[bucket[:2]].append(bucket)
 
     charges: list[Charge] = []
     chargers: list[tuple[int, str, str]] = []  # (offline day, agent, offline category)
@@ -200,59 +209,27 @@ def build_charging_report(
     type1 = frozenset(charge.charger for charge in charges)
     chargers.sort(key=lambda charger: (charger[0], -key[charger[1]]))
 
-    # Same-day slots by ascending priority, so a charger's options are a
-    # suffix; overflow slots by ascending day, so they are a prefix.
-    same_day: dict[int, tuple[list[int], list[tuple[str, str]]]] = {}
-    for day, agents in online_by_day.items():
-        agents.sort(key=key.__getitem__)
-        same_day[day] = ([key[t] for t in agents], [(t, SAME_DAY) for t in agents])
-    overflow: dict[str, tuple[int, list[int], list[tuple[str, str]]]] = {}
-    for cat_id, quota in capped.items():
-        served = sorted(online_under_cat.get(cat_id, ()))
-        overflow[cat_id] = (quota, [d for d, _t in served], [(t, OVERFLOW) for _d, t in served])
-
-    candidates: list[list[tuple[str, str]]] = []
+    options: dict[str, list[tuple]] = {}
     for day, agent_id, cat_id in chargers:
-        keys, slots = same_day.get(day, ([], []))
-        options = [(agent_id, SAME_DAY)] if online_alloc.day_of(agent_id) == day else []
-        options += slots[bisect.bisect_left(keys, key[agent_id]) :]
-        if cat_id in overflow:
-            quota, days, served = overflow[cat_id]
-            if bisect.bisect_right(days, day) >= quota:
-                options += served[: bisect.bisect_left(days, day)]
-        candidates.append(options)
+        options[agent_id] = [b for b in groups[(SAME_DAY, day)] if b[2] >= key[agent_id]]
+        overflow = groups[(OVERFLOW, cat_id)]
+        if cat_id in capped and sum(len(members[b]) for b in overflow if b[2] <= day) >= capped[cat_id]:
+            options[agent_id] += [b for b in overflow if b[2] < day]
+    capacities = {bucket: len(ts) for bucket, ts in members.items()}
+    seat = online._seat_greedily((a for _d, a, _c in chargers), options, capacities, len(chargers))[0]
 
-    for (day, agent_id, _cat), slot in zip(chargers, _inject(candidates)):
-        if slot is None:
+    selves = {a for d, a, _c in chargers if seat.get(a) == (SAME_DAY, d, key[a]) and online_alloc.day_of(a) == d}
+    spare = {b: iter([t for t in ts if b[0] == OVERFLOW or t not in selves]) for b, ts in members.items()}
+    for day, agent_id, _cat in chargers:
+        bucket = seat.get(agent_id)
+        if bucket is None:
             return _report(type1, charges, day, f"no online target left for {agent_id!r}, offline-matched on day {day}")
-        target, kind = slot
+        target = agent_id if agent_id in selves else next(spare[bucket])
         factor = Fraction(key[agent_id], key[target])
-        if kind == OVERFLOW:
-            factor *= instance.discount ** (day - online_alloc.day_of(target))
-        charges.append(Charge(agent_id, target, factor, kind))
+        if bucket[0] == OVERFLOW:
+            factor *= instance.discount ** (day - bucket[2])
+        charges.append(Charge(agent_id, target, factor, bucket[0]))
     return _certify(instance, scale, online_alloc, offline_alloc, type1, charges, capped)
-
-
-def _inject(candidates: Sequence[Sequence[Hashable]]) -> list[Hashable | None]:
-    """Give each charger a distinct slot from its candidate list, or None.
-
-    Chargers are seated in order by the online matcher's breadth-first
-    augmenting-path search, each slot a category of capacity 1. A charger
-    with no path stays None; the slots its search reached stay full for
-    good, so later searches skip them. The seated chargers form a maximum
-    injection.
-    """
-    slack = {slot: 1 for options in candidates for slot in options}
-    holders: dict[Hashable, list[Hashable]] = {slot: [] for slot in slack}
-    seat: dict[Hashable, Hashable] = {}
-    dead: set[Hashable] = set()
-    for charger, options in enumerate(candidates):
-        end, parent = online._augmenting_path(charger, options, candidates, holders, slack, dead, frozenset())
-        if end is None:
-            dead.update(parent)
-        else:
-            online._shift(end, parent, seat, holders, slack)
-    return [seat.get(charger) for charger in range(len(candidates))]
 
 
 def _certify(
@@ -473,7 +450,7 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
         for day in range(1, instance.num_days + 1):
             if not agent.availability[day - 1]:
                 continue
-            if any(capacity(c, day) > 0 for c in agent.eligible if c in categories):
+            if any(capacity(c, day) > 0 for c in agent.eligible):
                 reach_day[agent.id] = day
                 break
 

@@ -120,11 +120,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     try:
-        config.validate()
+        instance = data.generate(config)
+    except MalformedInstance:
+        raise  # a generator bug, not a config problem: main reports it
     except ValueError as exc:
         print(f"invalid generator config: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    instance = data.generate(config)
     data.write_instance(instance, args.out, provenance=data.config_to_document(config))
     print(f"wrote {args.out}: {len(instance.agents)} agents, {instance.num_days} days, {len(instance.categories)} categories")
     return EXIT_OK

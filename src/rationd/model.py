@@ -224,6 +224,9 @@ class MalformedInstance(ValueError):
         super().__init__(f"instance is not well-formed ({len(report.violations)} problems; first: {first.message})")
         self.report = report
 
+    def __reduce__(self):
+        return type(self), (self.report,)
+
 
 def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -173,9 +173,7 @@ def _augmenting_path(
     today (missing from ``slack``), and never moves ``fixed`` agents.
 
     Returns the category where the path ends (None if there is none) and,
-    for every category reached, the agent that would move into it. Agents
-    and categories may be any hashable values; the charge certificate seats
-    its chargers on slots with the same search.
+    for every category reached, the agent that would move into it.
     """
     parent: dict[str, str] = {}
     queue: list[str] = []
@@ -221,6 +219,39 @@ def _shift(
         category = previous
 
 
+def _seat_greedily(
+    agents: Iterable[Hashable],
+    eligible: Mapping[Hashable, Sequence[Hashable]],
+    capacities: Mapping[Hashable, int],
+    limit: int,
+) -> tuple[dict[Hashable, Hashable], dict[Hashable, list[Hashable]], dict[Hashable, int]]:
+    """Seat ``agents`` in order, each on one of its ``eligible`` categories
+    within their ``capacities``, until ``limit`` are seated: an agent is
+    kept when an augmenting path fits it in (matroid greedy), so the kept
+    agents are the first maximum set in this order.
+
+    Returns each kept agent's seat, each category's holders and its slack
+    left. Agents and categories may be any hashable values: the day matcher
+    seats candidates on categories, the charge certificate seats chargers on
+    buckets of interchangeable targets.
+    """
+    slack = dict(capacities)
+    holders: dict[Hashable, list[Hashable]] = {c: [] for c in slack}
+    seat: dict[Hashable, Hashable] = {}
+    # Categories a failed search reached are full, and so is every category
+    # their holders could move to; no later path can get through them.
+    dead: set[Hashable] = set()
+    for agent in agents:
+        if len(seat) == limit:
+            break
+        end, parent = _augmenting_path(agent, eligible[agent], eligible, holders, slack, dead, frozenset())
+        if end is None:
+            dead.update(parent)
+        else:
+            _shift(end, parent, seat, holders, slack)
+    return seat, holders, slack
+
+
 def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
     """Maximum-weight matching with per-category capacities and at most
     ``size_cap`` edges; each agent is matched at most once.
@@ -232,30 +263,17 @@ def max_weight_capped_bmatching(graph: DayGraph) -> frozenset[tuple[str, str]]:
     still lets the rest of the set be matched. Categories closed today are
     never reached.
     """
-    slack = dict(graph.capacities)
-    limit = min(graph.size_cap, sum(slack.values()))
+    limit = min(graph.size_cap, sum(graph.capacities.values()))
     if limit <= 0:
         return frozenset()
 
     eligible = graph.eligible
-    holders: dict[str, list[str]] = {c: [] for c in slack}
-    seat: dict[str, str] = {}
-    fixed: set[str] = set()  # stays empty until the categories are chosen
-    # Categories a failed search reached are full, and so is every category
-    # their holders could move to; no later path can get through them.
-    dead: set[str] = set()
-    for agent in graph.agents:
-        if len(seat) == limit:
-            break
-        end, parent = _augmenting_path(agent, eligible[agent], eligible, holders, slack, dead, fixed)
-        if end is None:
-            dead.update(parent)
-        else:
-            _shift(end, parent, seat, holders, slack)
+    seat, holders, slack = _seat_greedily(graph.agents, eligible, graph.capacities, limit)
 
     # Set first, then categories: going through the kept agents in
     # precedence order, each takes its earliest-listed open category that
     # still lets the agents after it be matched.
+    fixed: set[str] = set()
     for agent in sorted(seat, key=graph.precedence.__getitem__):
         fixed.add(agent)
         current = seat[agent]

@@ -289,3 +289,41 @@ def injection_by_recursion(candidates: list[list[object]]) -> list[object | None
     for slot, ci in holder.items():
         seats[ci] = slot
     return seats
+
+
+def charging_by_target_lists(
+    instance: Instance, online_alloc: Allocation, offline_alloc: Allocation
+) -> tuple[bool, int | None]:
+    """(certified, failure day) of the charge certificate, with a candidate
+    list of single targets for every charger, seated by
+    :func:`injection_by_recursion`.
+
+    An agent the online run served on an earlier day than offline charges
+    itself. Every other offline-matched agent is a charger, taken in order
+    of offline day, then priority descending. A charger on day d may take:
+    itself, if online served it on day d; each agent online served on day d
+    with at least its priority; and, when its offline category has an
+    overall quota that online used up by the end of day d, each agent online
+    served under that category before day d. The witness is the day of the
+    first charger left without a target."""
+    priority = {a.id: a.priority for a in instance.agents}
+    quota = {c.id: c.overall_quota for c in instance.categories}
+    online_served = list(online_alloc.matched())
+    chargers = []
+    for agent_id, cat_id, day in offline_alloc.matched():
+        online_day = online_alloc.day_of(agent_id)
+        if online_day is None or online_day >= day:
+            chargers.append((day, agent_id, cat_id))
+    chargers.sort(key=lambda charger: (charger[0], -priority[charger[1]]))
+
+    candidates = []
+    for day, agent_id, cat_id in chargers:
+        options: list[object] = [(agent_id, "same")] if online_alloc.day_of(agent_id) == day else []
+        options += [(t, "same") for t, _c, d in online_served if d == day and priority[t] >= priority[agent_id]]
+        used = sum(1 for _t, c, d in online_served if c == cat_id and d <= day)
+        if quota[cat_id] is not None and used >= quota[cat_id]:
+            options += [(t, "overflow") for t, c, d in online_served if c == cat_id and d < day]
+        candidates.append(options)
+    seats = injection_by_recursion(candidates)
+    unseated = [day for (day, _a, _c), seat in zip(chargers, seats) if seat is None]
+    return (not unseated, unseated[0] if unseated else None)

@@ -16,7 +16,6 @@ from rationd.analysis import (
     SAME_DAY,
     Charge,
     _certify,
-    _inject,
     availability_deviation_report,
     build_charging_report,
     competitive_ratio,
@@ -28,7 +27,7 @@ from rationd.analysis import (
 )
 
 from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
-from oracles import best_utility, deviation_outcomes_by_rerun, injection_by_recursion
+from oracles import best_utility, charging_by_target_lists, deviation_outcomes_by_rerun, injection_by_recursion, iter_allocations
 
 
 class TestCompetitiveRatio:
@@ -246,9 +245,64 @@ class TestChargingReport:
             assert report.failure_day == 2
             assert "'y'" in report.failure_reason
 
+    def test_a_self_charger_stays_another_chargers_overflow_target(self):
+        # Online serves x on day 1 under c1, which uses c1 up; offline
+        # serves x on day 1 under c2 and y on day 2 under c1. x is seated on
+        # its own same-day bucket and charges itself, and x is also the only
+        # member of c1's day-1 overflow bucket, which y takes.
+        inst = Instance(
+            agents=(
+                Agent("x", Fraction(1, 2), (True, False), frozenset({"c1", "c2"})),
+                Agent("y", Fraction(1, 2), (False, True), frozenset({"c1", "c2"})),
+            ),
+            categories=(Category("c1", (1, 1), overall_quota=1), Category("c2", (1, 0))),
+            num_days=2,
+            daily_supply=(1, 1),
+            discount=Fraction(1, 2),
+        )
+        online_alloc = Allocation({"x": ("c1", 1), "y": None})
+        offline_alloc = Allocation({"x": ("c2", 1), "y": ("c1", 2)})
+        report = build_charging_report(inst, online_alloc, offline_alloc)
+        assert report.bound_certified, report.failure_reason
+        assert report.charges == (
+            Charge("x", "x", Fraction(1), SAME_DAY),
+            Charge("y", "x", Fraction(1, 2), OVERFLOW),
+        )
+
+    def test_agrees_with_per_target_lists_on_every_allocation_pair(self):
+        # Both sides range over every feasible allocation, not only the
+        # online run and the optimum; priorities from a small set make
+        # many targets interchangeable.
+        rng = random.Random(1812)
+        pairs = uncertified = model2_pairs = 0
+        for k in range(40):
+            inst = random_instance(rng, max_agents=5, max_days=3, max_cats=2, max_cap=2, model2=k % 2 == 1, max_overall=2)
+            if k % 3:
+                levels = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+                inst = replace(inst, agents=tuple(replace(a, priority=rng.choice(levels)) for a in inst.agents))
+            allocations = [Allocation(a) for a in iter_allocations(inst)]
+            for online_alloc in allocations:
+                for offline_alloc in allocations:
+                    report = build_charging_report(inst, online_alloc, offline_alloc)
+                    expected = charging_by_target_lists(inst, online_alloc, offline_alloc)
+                    assert (report.bound_certified, report.failure_day) == expected
+                    pairs += 1
+                    uncertified += not report.bound_certified
+                    model2_pairs += k % 2
+        assert pairs > 10_000 and uncertified > 5_000 and model2_pairs > 4_000
+
+
+def inject(candidates):
+    """A distinct slot for each charger from its candidate list, or None:
+    the greedy seating loop of ``online`` over slots of capacity 1."""
+    capacities = {slot: 1 for options in candidates for slot in options}
+    seat, _holders, _slack = online._seat_greedily(range(len(candidates)), candidates, capacities, len(candidates))
+    return [seat.get(charger) for charger in range(len(candidates))]
+
 
 class TestMatchOverflow:
-    """The charge injector ``_inject``: one distinct slot per charger."""
+    """The greedy seating loop the charge certificate and the day matcher
+    share, on unit slots: one distinct slot per charger."""
 
     def test_agrees_with_the_recursive_search_on_random_cases(self):
         rng = random.Random(2718)
@@ -258,7 +312,7 @@ class TestMatchOverflow:
             targets = [(rng.randint(1, 6), f"t{i}") for i in range(rng.randint(0, 6))]
             rng.shuffle(chargers)
             # Each charger may take a strictly earlier target; some list one
-            # twice, as a charger offered itself first does.
+            # twice.
             candidates = []
             for day, _name in chargers:
                 options = [t for t in targets if t[0] < day]
@@ -266,7 +320,7 @@ class TestMatchOverflow:
                 if options and rng.random() < 0.3:
                     options.append(options[0])
                 candidates.append(options)
-            seats = _inject(candidates)
+            seats = inject(candidates)
             assert seats.count(None) == injection_by_recursion(candidates).count(None)
             seated = [slot for slot in seats if slot is not None]
             assert len(set(seated)) == len(seated)
@@ -286,7 +340,7 @@ class TestMatchOverflow:
         candidates = [[f"t{j}", f"t{j - 1}"] for j in range(n, 1, -1)] + [[f"t{n}"]]
         with pytest.raises(RecursionError):
             injection_by_recursion(candidates)
-        seats = _inject(candidates)
+        seats = inject(candidates)
         assert seats[-1] == f"t{n}"
         assert seats[:-1] == [f"t{j - 1}" for j in range(n, 1, -1)]
 

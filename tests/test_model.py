@@ -98,6 +98,14 @@ class TestValidateInstance:
             dataclasses.replace(inst, discount=Fraction(1))
         assert raised.value.report == refused(inst.agents, inst.categories, 2, (1, 1), Fraction(1))
 
+    def test_malformed_instance_survives_pickling(self):
+        with pytest.raises(MalformedInstance) as raised:
+            dataclasses.replace(tight_model1(), discount=1)
+        copied = pickle.loads(pickle.dumps(raised.value))
+        assert type(copied) is MalformedInstance
+        assert copied.report == raised.value.report
+        assert str(copied) == str(raised.value)
+
     def test_boolean_num_days_is_flagged(self):
         assert refused((), (Category("c1", (1,)),), True, (1,), Fraction(1, 2)).kinds() == {"structure"}
 
