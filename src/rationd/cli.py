@@ -16,8 +16,9 @@ without an overall quota is uncapped in either model.
 
 Exit codes: 0 success; 2 usage error (argparse); 3 invalid input or
 incompatible solver; 4 a verification certificate failed; 5 a search budget
-was exceeded. Set ``RATIOND_LOG=debug`` (or info/warning/error) to change
-log verbosity.
+was exceeded. A command returns or raises, and ``main`` alone turns every
+failure into its stderr line and exit code. Set ``RATIOND_LOG=debug`` (or
+info/warning/error) to change log verbosity.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from . import analysis, data
@@ -47,15 +48,14 @@ EXIT_BUDGET = 5
 log = logging.getLogger("rationd")
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    instance_digest: str
-    solver: str
-    utility: Fraction
-    matched: int
-    agents: int
-    per_day: tuple[int, ...]
-    seconds: float
+class CommandFailed(Exception):
+    """A command's own refusal (exit 3) or failed check (exit 4): ``main``
+    prints ``message`` to stderr and exits with ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(code, message)
+        self.code = code
+        self.message = message
 
 
 def _digest(instance: Instance) -> str:
@@ -80,42 +80,42 @@ def _exact(value: Fraction) -> str:
         return "about {}-digit / {}-digit fraction, too long to print".format(*digits)
 
 
-def _print_summary(summary: RunSummary, exact: bool) -> None:
-    print(f"instance  : {summary.instance_digest}")
-    print(f"solver    : {summary.solver}")
-    print(f"matched   : {summary.matched} / {summary.agents}")
-    utility = _decimal(summary.utility)
-    if exact:
-        utility += f" (exact {_exact(summary.utility)})"
-    print(f"utility   : {utility}")
-    print(f"per-day   : {' '.join(str(n) for n in summary.per_day)}")
-    print(f"wall-clock: {summary.seconds:.3f} s")
+def _value(value: Fraction, exact: bool) -> str:
+    return _decimal(value) + (f" (exact {_exact(value)})" if exact else "")
 
 
-def _summarize(instance: Instance, alloc: Allocation, solver: str, seconds: float) -> RunSummary:
+def _label(algorithm: str, model2: bool) -> str:
+    """A summary's solver name: the algorithm and the model it ran in. In
+    model 2 the offline side is the oracle."""
+    if model2:
+        return "online2" if algorithm == "online" else "oracle2"
+    return {"online": "online1", "offline": "offline1", "oracle": "oracle"}[algorithm]
+
+
+def _print_summary(instance: Instance, alloc: Allocation, solver: str, seconds: float, exact: bool) -> None:
     per_day = [0] * instance.num_days
     for _a, _c, day in alloc.matched():
         per_day[day - 1] += 1
-    return RunSummary(
-        instance_digest=_digest(instance),
-        solver=solver,
-        utility=total_utility(instance, alloc),
-        matched=alloc.matched_count(),
-        agents=len(instance.agents),
-        per_day=tuple(per_day),
-        seconds=seconds,
-    )
+    print(f"instance  : {_digest(instance)}")
+    print(f"solver    : {solver}")
+    print(f"matched   : {alloc.matched_count()} / {len(instance.agents)}")
+    print(f"utility   : {_value(total_utility(instance, alloc), exact)}")
+    print(f"per-day   : {' '.join(str(n) for n in per_day)}")
+    print(f"wall-clock: {seconds:.3f} s")
 
 
 def _parse_tie_break(text: str | None, instance: Instance) -> TieBreak:
     if text is None or text == "adversarial":
         return text
     tie = TieBreakOrder(tuple(part.strip() for part in text.split(",") if part.strip()))
-    precedence(instance, tie)
+    try:
+        precedence(instance, tie)
+    except ValueError as exc:
+        raise CommandFailed(EXIT_INVALID, f"bad tie-break: {exc}") from exc
     return tie
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> None:
     config = data.read_generator_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -124,113 +124,85 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except MalformedInstance:
         raise  # a generator bug, not a config problem: main reports it
     except ValueError as exc:
-        print(f"invalid generator config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandFailed(EXIT_INVALID, f"invalid generator config: {exc}") from exc
     data.write_instance(instance, args.out, provenance=data.config_to_document(config))
     print(f"wrote {args.out}: {len(instance.agents)} agents, {instance.num_days} days, {len(instance.categories)} categories")
-    return EXIT_OK
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     instance = data.read_instance(args.instance)
     model2 = bool(overall_quotas(instance))
-    try:
-        tie_break = _parse_tie_break(args.tie_break, instance)
-    except ValueError as exc:
-        print(f"bad tie-break: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    tie_break = _parse_tie_break(args.tie_break, instance)
     if tie_break is not None and args.algorithm == "oracle":
-        print("bad tie-break: oracle breaks no ties by precedence", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandFailed(EXIT_INVALID, "bad tie-break: oracle breaks no ties by precedence")
     if model2 and args.algorithm == "offline":
-        print("cannot solve: offline ignores the overall quotas this instance carries; use --algorithm oracle", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandFailed(
+            EXIT_INVALID, "cannot solve: offline ignores the overall quotas this instance carries; use --algorithm oracle"
+        )
     started = time.perf_counter()
-    try:
-        if args.algorithm == "online":
-            alloc = run_online(instance, tie_break=tie_break)
-        elif args.algorithm == "oracle":
-            alloc = solve_exact_oracle(instance, budget=args.budget)
-        elif tie_break is not None:
-            alloc = solve_offline_tiebroken(instance, tie_break)
-        else:
-            alloc = solve_offline_model1(instance)
-    except OracleBudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if args.algorithm == "online":
+        alloc = run_online(instance, tie_break=tie_break)
+    elif args.algorithm == "oracle":
+        alloc = solve_exact_oracle(instance, budget=args.budget)
+    elif tie_break is not None:
+        alloc = solve_offline_tiebroken(instance, tie_break)
+    else:
+        alloc = solve_offline_model1(instance)
     seconds = time.perf_counter() - started
-    feasibility = check_allocation(instance, alloc)
-    if not feasibility.ok:
-        print("solver produced an infeasible allocation (bug)", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    if not check_allocation(instance, alloc).ok:
+        raise CommandFailed(EXIT_CERTIFICATE, "solver produced an infeasible allocation (bug)")
     if args.out:
         data.write_allocation(alloc, args.out)
-    solver = {"online": "online2" if model2 else "online1", "offline": "offline1", "oracle": "oracle2" if model2 else "oracle"}
-    _print_summary(_summarize(instance, alloc, solver[args.algorithm], seconds), args.exact)
-    return EXIT_OK
+    _print_summary(instance, alloc, _label(args.algorithm, model2), seconds, args.exact)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     instance = data.read_instance(args.instance)
     model2 = bool(overall_quotas(instance))
-    try:
-        tie_break = _parse_tie_break(args.tie_break, instance)
-    except ValueError as exc:
-        print(f"bad tie-break: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    tie_break = _parse_tie_break(args.tie_break, instance)
     if args.metrics_dir:
         try:
             analysis.check_group_labels(a.group for a in instance.agents if a.group is not None)
         except ValueError as exc:
-            print(f"cannot compare: --metrics-dir: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise CommandFailed(EXIT_INVALID, f"cannot compare: --metrics-dir: {exc}") from exc
+        os.makedirs(args.metrics_dir, exist_ok=True)
 
     started = time.perf_counter()
     online_alloc = run_online(instance, tie_break=tie_break)
     online_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    try:
-        offline_alloc = analysis.offline_optimum(instance, args.budget)
-    except OracleBudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    offline_alloc = analysis.offline_optimum(instance, args.budget)
     offline_seconds = time.perf_counter() - started
 
-    _print_summary(_summarize(instance, online_alloc, "online2" if model2 else "online1", online_seconds), args.exact)
+    _print_summary(instance, online_alloc, _label("online", model2), online_seconds, args.exact)
     print()
-    _print_summary(_summarize(instance, offline_alloc, "oracle2" if model2 else "offline1", offline_seconds), args.exact)
+    _print_summary(instance, offline_alloc, _label("offline", model2), offline_seconds, args.exact)
     print()
 
     opt = total_utility(instance, offline_alloc)
     alg = total_utility(instance, online_alloc)
     bound = analysis.model2_bound(instance) if model2 else analysis.model1_bound(instance)
     if alg == 0 and opt > 0:
-        print("ratio     : infinite (online earned nothing)", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise CommandFailed(EXIT_CERTIFICATE, "ratio     : infinite (online earned nothing)")
     ratio = Fraction(1) if alg == 0 else opt / alg
     efficiency = Fraction(1) if opt == 0 else alg / opt
     tight = " [tight]" if ratio == bound else ""
-    ratio_text = _decimal(ratio) + (f" (exact {_exact(ratio)})" if args.exact else "")
-    bound_text = _decimal(bound) + (f" (exact {_exact(bound)})" if args.exact else "")
-    print(f"optimal/online ratio : {ratio_text}{tight}")
-    print(f"worst-case bound     : {bound_text}")
+    print(f"optimal/online ratio : {_value(ratio, args.exact)}{tight}")
+    print(f"worst-case bound     : {_value(bound, args.exact)}")
     print(f"empirical efficiency : {_decimal(efficiency)} (online/optimal)")
     if ratio > bound:
-        print("ratio exceeds the worst-case bound (bug)", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise CommandFailed(EXIT_CERTIFICATE, "ratio exceeds the worst-case bound (bug)")
 
     if args.metrics_dir:
-        os.makedirs(args.metrics_dir, exist_ok=True)
         online_csv = os.path.join(args.metrics_dir, "metrics_online.csv")
         offline_csv = os.path.join(args.metrics_dir, "metrics_offline.csv")
         data.export_metrics(analysis.compute_metrics(instance, online_alloc), online_csv)
         data.export_metrics(analysis.compute_metrics(instance, offline_alloc), offline_csv)
         print(f"metrics written to {online_csv} and {offline_csv}")
-    return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> None:
     instance = data.read_instance(args.instance)
     failures = 0
     skips = 0
@@ -292,10 +264,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         outcome(f"no improving under-reports ({len(probe)} agents probed)", not uncertified, "; ".join(uncertified[:3]))
 
     if failures:
-        print(f"{failures} verification step(s) failed", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise CommandFailed(EXIT_CERTIFICATE, f"{failures} verification step(s) failed")
     print("all verification steps passed" + (f" ({skips} skipped)" if skips else ""))
-    return EXIT_OK
 
 
 def _count(text: str) -> int:
@@ -350,7 +320,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+    except CommandFailed as exc:
+        print(exc.message, file=sys.stderr)
+        return exc.code
+    except OracleBudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except data.DataFormatError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -361,6 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_OK
 
 
 def entry_point() -> None:

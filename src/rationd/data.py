@@ -327,7 +327,11 @@ class GeneratorConfig:
             raise ValueError("availability_density must lie in [0, 1]")
         if not self.group_specs:
             raise ValueError("at least one group is required")
+        labels: set[str] = set()
         for spec in self.group_specs:
+            if spec.label in labels:
+                raise ValueError(f"group label {spec.label!r} appears more than once")
+            labels.add(spec.label)
             if spec.weight <= 0:
                 raise ValueError(f"group {spec.label!r} weight must be positive")
             if not (0 < spec.priority < 1):

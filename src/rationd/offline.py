@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .flow import Arc, FlowNetwork, solve_profitable_flow
 from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, overall_quotas, precedence, utility_scale
@@ -258,8 +258,8 @@ def solve_exact_oracle(instance: Instance, model2: bool | None = None, budget: i
     overall_left = list(overall)
 
     best_value = -1
-    best: list[tuple[str, int, int] | None] = []
-    current: list[tuple[str, int, int] | None] = [None] * n_agents
+    best: list[Slot] = []
+    current: list[Slot] = [None] * n_agents
     visited = 0
 
     def enter(k: int, gathered: int) -> bool:
@@ -275,47 +275,34 @@ def solve_exact_oracle(instance: Instance, model2: bool | None = None, budget: i
             return False
         return gathered + tail_bound[k] > best_value
 
-    # Depth-first, with an explicit stack so that the depth (one level per
-    # agent) is not bounded by the interpreter's recursion limit. A frame is
-    # [agent index, value gathered, next move to try, move it holds].
-    stack: list[list] = [[0, 0, 0, None]] if enter(0, 0) else []
-    while stack:
-        frame = stack[-1]
-        k, gathered, i, held = frame
-        if held is not None:
-            day, ci = held
-            supply_left[day - 1] += 1
-            quota_left[ci][day - 1] += 1
-            if overall_left[ci] is not None:
-                overall_left[ci] += 1
-            current[k] = None
-            frame[3] = None
-        own = moves[k]
-        child: tuple[int, int] | None = None
-        while i < len(own):
-            value, day, ci = own[i]
-            i += 1
+    def children(k: int, gathered: int) -> Iterator[tuple[int, int]]:
+        """Agent k's choices, best move first and unmatched last. A move
+        holds its slot while its child is searched and gives it back after."""
+        for value, day, ci in moves[k]:
             if supply_left[day - 1] == 0 or quota_left[ci][day - 1] == 0 or overall_left[ci] == 0:
                 continue
             supply_left[day - 1] -= 1
             quota_left[ci][day - 1] -= 1
             if overall_left[ci] is not None:
                 overall_left[ci] -= 1
-            current[k] = (cat_ids[ci], day, ci)
-            frame[3] = (day, ci)
-            child = (k + 1, gathered + value)
-            break
-        else:
-            if i == len(own):  # last, leave the agent unmatched
-                i += 1
-                child = (k + 1, gathered)
-        frame[2] = i
+            current[k] = (cat_ids[ci], day)
+            yield k + 1, gathered + value
+            supply_left[day - 1] += 1
+            quota_left[ci][day - 1] += 1
+            if overall_left[ci] is not None:
+                overall_left[ci] += 1
+            current[k] = None
+        yield k + 1, gathered
+
+    # Depth-first, with an explicit stack of the agents' choices so that the
+    # depth (one level per agent) is not bounded by the interpreter's
+    # recursion limit.
+    stack = [children(0, 0)] if enter(0, 0) else []
+    while stack:
+        child = next(stack[-1], None)
         if child is None:
             stack.pop()
         elif enter(*child):
-            stack.append([*child, 0, None])
+            stack.append(children(*child))
 
-    assignment: dict[str, tuple[str, int] | None] = {}
-    for agent, chosen in zip(instance.agents, best):
-        assignment[agent.id] = None if chosen is None else (chosen[0], chosen[1])
-    return Allocation(assignment)
+    return Allocation(dict(zip((agent.id for agent in instance.agents), best)))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,17 @@ class TestGenerate:
         code = run(["generate", "--config", config, "--out", str(tmp_path / "x.json")])
         assert code == cli.EXIT_INVALID
         assert "invalid generator config" in capsys.readouterr().err
+
+    def test_duplicate_group_label_is_refused(self, tmp_path, capsys):
+        # Two specs under one label would leave every such agent the last
+        # spec's priority.
+        groups = [{"label": "g", "weight": 0.5, "priority": "0.5"}, {"label": "g", "weight": 0.5, "priority": "0.9"}]
+        out = tmp_path / "x.json"
+        assert run(["generate", "--config", self.config_file(tmp_path, groups=groups), "--out", str(out)]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid generator config: group label 'g' appears more than once\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override, where",
@@ -299,7 +311,6 @@ class TestCompare:
         assert run(["compare", str(inst_path), "--exact"]) == 0
         out = capsys.readouterr().out
         ratio_line = next(line for line in out.splitlines() if line.startswith("optimal/online ratio"))
-        import re
         from fractions import Fraction
 
         exact = Fraction(re.search(r"\(exact (\d+(?:/\d+)?)\)", ratio_line).group(1))
@@ -327,6 +338,15 @@ class TestCompare:
         assert repr(label) in captured.err and "--metrics-dir" in captured.err
         assert "Traceback" not in captured.err
         assert not metrics.exists()
+
+    def test_metrics_dir_that_is_a_file_is_refused_before_any_step(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        assert run(["compare", TIGHT_M1, "--metrics-dir", str(taken)]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot open {taken}: File exists\n"
+        assert taken.read_text() == "x"
 
 
 # Parses, but products of it pass the interpreter's 4,300-digit limit on
@@ -517,3 +537,34 @@ def test_log_level_env_var(monkeypatch, capsys):
     monkeypatch.setenv("RATIOND_LOG", "debug")
     assert run(["solve", TIGHT_M1, "--algorithm", "offline"]) == 0
     capsys.readouterr()
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+GOLDEN_COMMANDS = {
+    "solve-online": ["solve", "--algorithm", "online"],
+    "solve-online-exact": ["solve", "--algorithm", "online", "--exact"],
+    "solve-offline": ["solve", "--algorithm", "offline"],
+    "solve-offline-exact": ["solve", "--algorithm", "offline", "--exact"],
+    "solve-oracle": ["solve", "--algorithm", "oracle"],
+    "solve-oracle-exact": ["solve", "--algorithm", "oracle", "--exact"],
+    "compare-adversarial-exact": ["compare", "--tie-break", "adversarial", "--exact"],
+    "verify": ["verify"],
+    "solve-bad-tie-break": ["solve", "--algorithm", "online", "--tie-break", "a1"],
+    "compare-bad-tie-break": ["compare", "--tie-break", "a1"],
+    "solve-budget-1": ["solve", "--algorithm", "oracle", "--budget", "1"],
+    "compare-budget-1": ["compare", "--budget", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("fixture", ["tight_model1", "tight_general"])
+def test_output_is_pinned(capsys, fixture, command):
+    # The whole of stdout (wall-clock masked), stderr and the exit code, as
+    # recorded in cli_golden.json.
+    argv = GOLDEN_COMMANDS[command]
+    code = run([argv[0], str(FIXDIR / f"{fixture}.json"), *argv[1:]])
+    captured = capsys.readouterr()
+    stdout = re.sub(r"wall-clock: \d+\.\d{3} s", "wall-clock: <masked> s", captured.out)
+    expected = GOLDEN[f"{fixture}-{command}"]
+    assert (code, stdout.splitlines(), captured.err.splitlines()) == (expected["exit"], expected["stdout"], expected["stderr"])
+    assert stdout.endswith("\n") == bool(stdout) and captured.err.endswith("\n") == bool(captured.err)

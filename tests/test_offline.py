@@ -527,6 +527,23 @@ class TestExactOracle:
         with pytest.raises(OracleBudgetExceeded, match="^oracle search exceeded its budget of 50 nodes$"):
             solve_exact_oracle(inst, budget=50)
 
+    @pytest.mark.parametrize(
+        "make, smallest, refusal",
+        [
+            (tight_general, 12, "instance sizing 3 agents x 2 days x 2 categories"),
+            (lambda: random_instance(random.Random(0)), 34, "oracle search exceeded its budget of 33 nodes"),
+            (lambda: random_instance(random.Random(38), model2=True), 248, "oracle search exceeded its budget of 247 nodes"),
+        ],
+        ids=["tight-general", "random-seed-0", "random-seed-38-model2"],
+    )
+    def test_smallest_budget_is_pinned(self, make, smallest, refusal):
+        # The search's node count, move order included: a change to either
+        # moves the budget at which the oracle starts to refuse.
+        inst = make()
+        assert total_utility(inst, solve_exact_oracle(inst, budget=smallest)) == best_utility(inst)
+        with pytest.raises(OracleBudgetExceeded, match=f"^{refusal}"):
+            solve_exact_oracle(inst, budget=smallest - 1)
+
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         # One search level per agent: 1,200 levels, within the default budget.
         n = 1200
