@@ -19,14 +19,25 @@ path costs are all distinct takes one search per unit of flow and never
 builds a level graph, and one whose levels hold many paths takes one search
 per distinct path cost plus at most two: the search that first repeats a
 cost and the last, which finds no profitable path.
+
+Every Dijkstra search and every level search of a blocking flow stops at
+the sink. A Dijkstra search ends once no node on its heap is nearer than
+the sink's label. The nodes tied with the sink stay unsettled: they would
+take the sink's distance as their potential either way, and a predecessor
+changes only on a strict improvement, so the path and the potentials are
+those of a search run until it pops the sink. A level search ends when it
+labels the sink and keeps only the sink on that level. A node's
+zero-reduced-cost arcs are listed when a level search or an advance first
+needs them.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class NegativeCycleError(ValueError):
@@ -40,13 +51,17 @@ class Arc(NamedTuple):
     cost: int
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """A directed network with integer capacities and integer costs.
 
-    Construction validates shape: node ids in range, no self-loops, no arc
-    entering the source or leaving the sink, non-negative capacities.
-    Parallel arcs are allowed.
+    Construction validates shape: integer node ids in range, no self-loops,
+    no arc entering the source or leaving the sink, non-negative integer
+    capacities and integer costs. Parallel arcs are allowed.
     """
 
     num_nodes: int
@@ -55,24 +70,47 @@ class FlowNetwork:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
+        n, source, sink = self.num_nodes, self.source, self.sink
+        if not (_is_int(n) and _is_int(source) and _is_int(sink)):
+            raise ValueError("num_nodes, source and sink must be integers")
+        if n < 2:
             raise ValueError("a flow network needs at least a source and a sink")
-        if not (0 <= self.source < self.num_nodes and 0 <= self.sink < self.num_nodes):
+        if not (0 <= source < n and 0 <= sink < n):
             raise ValueError("source/sink out of range")
-        if self.source == self.sink:
+        if source == sink:
             raise ValueError("source and sink must differ")
+        if not self.arcs:
+            return
+        # A few passes over the columns accept every well-formed network;
+        # only a network that fails one is walked arc by arc, to name the
+        # first bad arc (or to accept int subclasses, which the type pass
+        # does not).
+        tails, heads, caps, costs = zip(*self.arcs)
+        nodes = tails + heads
+        if (
+            {*map(type, nodes), *map(type, caps), *map(type, costs)} == {int}
+            and min(nodes) >= 0
+            and max(nodes) < n
+            and not any(map(operator.eq, tails, heads))
+            and source not in heads
+            and sink not in tails
+            and min(caps) >= 0
+        ):
+            return
         for i, arc in enumerate(self.arcs):
-            if not (0 <= arc.tail < self.num_nodes and 0 <= arc.head < self.num_nodes):
+            if not (_is_int(arc.tail) and _is_int(arc.head)):
+                raise ValueError(f"arc {i} node ids must be integers")
+            if not (0 <= arc.tail < n and 0 <= arc.head < n):
                 raise ValueError(f"arc {i} references a node out of range")
             if arc.tail == arc.head:
                 raise ValueError(f"arc {i} is a self-loop")
-            if arc.head == self.source:
+            if arc.head == source:
                 raise ValueError(f"arc {i} enters the source")
-            if arc.tail == self.sink:
+            if arc.tail == sink:
                 raise ValueError(f"arc {i} leaves the sink")
-            if not isinstance(arc.capacity, int) or isinstance(arc.capacity, bool) or arc.capacity < 0:
+            if not _is_int(arc.capacity) or arc.capacity < 0:
                 raise ValueError(f"arc {i} capacity must be a non-negative integer")
-            if not isinstance(arc.cost, int) or isinstance(arc.cost, bool):
+            if not _is_int(arc.cost):
                 raise ValueError(f"arc {i} cost must be an integer")
 
 
@@ -133,24 +171,26 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
     n = network.num_nodes
     m = len(network.arcs)
     source, sink = network.source, network.sink
-    if not any(arc.cost < 0 for arc in network.arcs):
+    tails, heads, caps, costs = zip(*network.arcs) if m else ((),) * 4
+    if min(costs, default=0) >= 0:
         # Without a negative arc no path is profitable; no search runs.
         return FlowResult((0,) * m, 0, 0, 0)
 
     # Residual arcs: 2*i forward, 2*i + 1 backward.
     head = [0] * (2 * m)
+    head[0::2] = heads
+    head[1::2] = tails
+    tail = [0] * (2 * m)
+    tail[0::2] = tails
+    tail[1::2] = heads
     cap = [0] * (2 * m)
+    cap[0::2] = caps
     cost = [0] * (2 * m)
+    cost[0::2] = costs
+    cost[1::2] = [-c for c in costs]
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, arc in enumerate(network.arcs):
-        head[2 * i] = arc.head
-        cap[2 * i] = arc.capacity
-        cost[2 * i] = arc.cost
-        adj[arc.tail].append(2 * i)
-        head[2 * i + 1] = arc.tail
-        cap[2 * i + 1] = 0
-        cost[2 * i + 1] = -arc.cost
-        adj[arc.head].append(2 * i + 1)
+    for e, u in enumerate(tail):
+        adj[u].append(e)
 
     # The first round's search also sets the potentials: exact distances
     # from the source make every residual arc's reduced cost non-negative
@@ -188,27 +228,17 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
         total_cost += pushed * path_cost
 
         # Dijkstra on reduced costs, recording each node's predecessor arc;
-        # stops once the sink is settled. Reduced costs are non-negative, so
-        # an arc into a settled node never improves its distance.
+        # stops once no node on the heap is nearer than the sink's label,
+        # which is then final. Reduced costs are non-negative, so an arc into
+        # a settled node never improves its distance.
         rounds += 1
         dist: list = [unreached] * n
         dist[source] = 0
         heap: list[tuple[int, int]] = [(0, source)]
-        path_cost = None
-        while heap:
+        while heap and heap[0][0] < dist[sink]:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            if u == sink:
-                # Cost of the cheapest residual path in original costs.
-                path_cost = d + potential[sink] - potential[source]
-                # Nodes nearer than the sink were settled with their exact
-                # distance; everything else is at least as far as the sink,
-                # so capping at d keeps reduced costs non-negative. Every
-                # arc of the path found now has reduced cost zero.
-                if path_cost < 0:
-                    potential = [p + (x if x < d else d) for p, x in zip(potential, dist)]
-                break
             base = d + potential[u]
             for e in adj[u]:
                 if cap[e] > 0:
@@ -218,6 +248,17 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
                         dist[v] = nd
                         pred[v] = e
                         heapq.heappush(heap, (nd, v))
+        d = dist[sink]
+        if d == unreached:
+            break
+        # Cost of the cheapest residual path in original costs.
+        path_cost = d + potential[sink] - potential[source]
+        # Nodes nearer than the sink were settled with their exact distance;
+        # everything else is at least as far as the sink, so capping at d
+        # keeps reduced costs non-negative. Every arc of the path found now
+        # has reduced cost zero.
+        if path_cost < 0:
+            potential = [p + (x if x < d else d) for p, x in zip(potential, dist)]
 
     flows = tuple(cap[1::2])
     return FlowResult(flows, total_flow, total_cost, rounds)
@@ -238,39 +279,24 @@ def _blocking_flow(
     Every source-to-sink path in this subgraph has the same original cost,
     so the caller can account cost per unit pushed.
     """
-    # Each node's zero-reduced-cost arcs, found when the node is first
-    # visited. Potentials stay fixed here, and an arc's reverse has reduced
+    # Each node's zero-reduced-cost arcs, listed when a search first needs
+    # them. Potentials stay fixed here, and an arc's reverse has reduced
     # cost zero when it has, so pushing flow changes only which of these
     # arcs have capacity.
     tight: list[list[int] | None] = [None] * n
+
+    def tight_arcs(u: int) -> list[int]:
+        arcs = tight[u]
+        if arcs is None:
+            pu = potential[u]
+            arcs = tight[u] = [e for e in adj[u] if cost[e] + pu == potential[head[e]]]
+        return arcs
+
     pushed_total = 0
     while True:
-        # Level graph by BFS, up to the sink's level; the other nodes on
-        # that level cannot lead to the sink.
-        level = [-1] * n
-        level[source] = 0
-        frontier = [source]
-        depth = 0
-        while frontier and level[sink] < 0:
-            depth += 1
-            reached = []
-            for u in frontier:
-                arcs = tight[u]
-                if arcs is None:
-                    pu = potential[u]
-                    arcs = tight[u] = [e for e in adj[u] if cost[e] + pu == potential[head[e]]]
-                for e in arcs:
-                    if cap[e] > 0:
-                        v = head[e]
-                        if level[v] < 0:
-                            level[v] = depth
-                            reached.append(v)
-            frontier = reached
-        if level[sink] < 0:
+        level = _levels(n, head, cap, tight_arcs, source, sink)
+        if level is None:
             return pushed_total
-        for v in frontier:
-            if v != sink:
-                level[v] = -1
 
         # Advance/retreat search over the level graph. A node comes back to
         # the top of the path only when its path arc saturated or led to a
@@ -293,7 +319,7 @@ def _blocking_flow(
                 continue
             scan = scans[node]
             if scan is None:
-                scan = scans[node] = iter(tight[node])
+                scan = scans[node] = iter(tight_arcs(node))
             next_level = level[node] + 1
             for e in scan:
                 if cap[e] > 0 and level[head[e]] == next_level:
@@ -306,3 +332,33 @@ def _blocking_flow(
                 if not path:
                     break
                 node = head[path.pop() ^ 1]
+
+
+def _levels(
+    n: int, head: list[int], cap: list[int], tight_arcs: Callable[[int], list[int]], source: int, sink: int
+) -> list[int] | None:
+    """Breadth-first levels over the zero-reduced-cost arcs with capacity,
+    or None when the sink is unreachable. The search stops when it labels
+    the sink; the other nodes of the sink's level cannot lead to it, so they
+    stay unlabelled (-1)."""
+    level = [-1] * n
+    level[source] = 0
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for u in frontier:
+            for e in tight_arcs(u):
+                if cap[e] > 0:
+                    v = head[e]
+                    if level[v] < 0:
+                        if v == sink:
+                            for w in reached:
+                                level[w] = -1
+                            level[sink] = depth
+                            return level
+                        level[v] = depth
+                        reached.append(v)
+        frontier = reached
+    return None

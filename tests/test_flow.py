@@ -1,7 +1,10 @@
+import hashlib
 import random
+import re
 
 import pytest
 
+from rationd.data import GeneratorConfig, SupplyModel, generate
 from rationd.flow import Arc, FlowNetwork, NegativeCycleError, solve_profitable_flow
 from rationd.offline import TieBreakOrder, build_model1_network
 
@@ -34,25 +37,51 @@ def test_negative_cycle_rejected():
         solve_profitable_flow(network)
 
 
+MALFORMED_NETWORKS = [
+    ((2, 0, 1, (Arc(1, 1, 1, 0),)), "arc 0 is a self-loop"),
+    ((2, 0, 1, (Arc(1, 0, 1, 0),)), "arc 0 enters the source"),
+    ((1, 0, 0, ()), "at least a source and a sink"),
+    ((3, 0, 2, (Arc(0, 3, 1, 0),)), "arc 0 references a node out of range"),
+    ((3, 0, 2, (Arc(-1, 1, 1, 0),)), "arc 0 references a node out of range"),
+    ((2, 0, 1, (Arc(0, 1, True, 0),)), "arc 0 capacity must be a non-negative integer"),
+    ((2, 0, 1, (Arc(0, 1, 1, False),)), "arc 0 cost must be an integer"),
+    ((2, 0, 1, (Arc(0, 1, 1, 0.5),)), "arc 0 cost must be an integer"),
+    ((3, 0, 2, (Arc(2, 1, 1, 0),)), "arc 0 leaves the sink"),
+    ((2, 0, 0, ()), "source and sink must differ"),
+    ((2, 0, 5, ()), "source/sink out of range"),
+    ((2, 0, 1, (Arc(0, 1, -1, 0),)), "arc 0 capacity must be a non-negative integer"),
+    # The first bad arc is named, wherever it sits and whatever else is wrong.
+    ((4, 0, 3, (Arc(0, 1, 1, 0), Arc(1, 2, 1, 0), Arc(2, 0, 1, 0), Arc(3, 3, 1, 0))), "arc 2 enters the source"),
+]
+
+
 def test_construction_rejects_malformed_networks():
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, (Arc(1, 1, 1, 0),))  # self-loop
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, (Arc(1, 0, 1, 0),))  # into the source
-    with pytest.raises(ValueError):
-        FlowNetwork(1, 0, 0, ())  # fewer than two nodes
-    with pytest.raises(ValueError):
-        FlowNetwork(3, 0, 2, (Arc(0, 3, 1, 0),))  # arc node out of range
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, (Arc(0, 1, True, 0),))  # bool capacity
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, (Arc(0, 1, 1, False),))  # bool cost
-    with pytest.raises(ValueError):
-        FlowNetwork(3, 0, 2, (Arc(2, 1, 1, 0),))  # out of the sink
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 0, ())  # source == sink
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, (Arc(0, 1, -1, 0),))  # negative capacity
+    for args, message in MALFORMED_NETWORKS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FlowNetwork(*args)
+
+
+def test_construction_rejects_node_ids_that_are_not_ints():
+    # Float node ids used to pass construction and fail in the solver with
+    # a bare TypeError; bools are refused as they are for capacities.
+    cases = [
+        ((3, 0, 2, (Arc(0, 1.0, 1, 0), Arc(1.0, 2, 1, -3))), "arc 0 node ids must be integers"),
+        ((3, 0, 2, (Arc(0, 1, 1, 0), Arc(True, 2, 1, -3))), "arc 1 node ids must be integers"),
+        ((3.0, 0, 2, ()), "num_nodes, source and sink must be integers"),
+        ((3, False, 2, ()), "num_nodes, source and sink must be integers"),
+        ((3, 0, 2.0, ()), "num_nodes, source and sink must be integers"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FlowNetwork(*args)
+
+
+def test_construction_accepts_int_subclasses():
+    class Units(int):
+        pass
+
+    network = FlowNetwork(3, 0, 2, (Arc(0, Units(1), Units(2), 0), Arc(Units(1), 2, 1, Units(-3))))
+    assert solve_profitable_flow(network).total_cost == -3
 
 
 def random_layered_network(rng: random.Random) -> FlowNetwork:
@@ -219,3 +248,44 @@ def test_max_flow_min_cost_agrees_with_networkx_on_random_networks():
         assert result.total_cost + bonus * result.total_flow == nx.cost_of_flow(graph, flows)
         flowing += result.total_flow > 0
     assert flowing > 100
+
+
+# sha256 of every (arc_flows, rounds, total_cost) of the networks below, in
+# order. A change to the search or drain rules that moves any flow, or any
+# search count, changes it; re-pin only for a change meant to do that.
+SOLVER_DIGEST = "c096d9c4640ca5a397f6e3fa61ce23e437b5763d32c0d7c02110d6dca2776eda"
+
+
+def pinned_networks():
+    rng = random.Random(2024)
+    yield from (random_layered_network(rng) for _ in range(300))
+    rng = random.Random(1990)
+    yield from (random_network_without_negative_cycles(rng) for _ in range(300))
+    rng = random.Random(314)
+    for _ in range(40):
+        instance = tie_heavy_instance(rng, rng.randint(20, 60), rng.randint(2, 5))
+        order = list(instance.agent_order())
+        rng.shuffle(order)
+        for tie_break in (None, TieBreakOrder(tuple(order))):
+            yield build_model1_network(instance, tie_break)[0]
+    # The benchmark's probe instance (PROBE_CONFIG in perfbench/workloads.py).
+    probe = generate(
+        GeneratorConfig(
+            num_agents=100,
+            num_days=4,
+            num_hospitals=4,
+            availability_density=0.5,
+            supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
+            seed=7,
+        )
+    )
+    for tie_break in (None, TieBreakOrder(tuple(probe.agent_order()))):
+        yield build_model1_network(probe, tie_break)[0]
+
+
+def test_solver_results_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for network in pinned_networks():
+        result = solve_profitable_flow(network)
+        digest.update(repr((result.arc_flows, result.rounds, result.total_cost)).encode())
+    assert digest.hexdigest() == SOLVER_DIGEST
