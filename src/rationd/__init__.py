@@ -45,15 +45,15 @@ from .analysis import (
     Charge,
     ChargingReport,
     DeviationReport,
-    InfiniteRatioError,
     MetricsSeries,
+    RatioCheck,
     availability_deviation_report,
     build_charging_report,
-    competitive_ratio,
     compute_metrics,
     max_matching_size,
     model1_bound,
     model2_bound,
+    ratio_check,
     wasted_slots,
 )
 from .data import (
@@ -86,13 +86,13 @@ __all__ = [
     "FlowResult",
     "GeneratorConfig",
     "GroupSpec",
-    "InfiniteRatioError",
     "Instance",
     "MalformedInstance",
     "MetricsSeries",
     "ModelMismatch",
     "NegativeCycleError",
     "OracleBudgetExceeded",
+    "RatioCheck",
     "ReductionMap",
     "SupplyModel",
     "TieBreakOrder",
@@ -103,7 +103,6 @@ __all__ = [
     "build_day_graph",
     "build_model1_network",
     "check_allocation",
-    "competitive_ratio",
     "compute_metrics",
     "generate",
     "load_fixture",
@@ -112,6 +111,7 @@ __all__ = [
     "model1_bound",
     "model2_bound",
     "overall_quotas",
+    "ratio_check",
     "read_allocation",
     "read_instance",
     "run_online",

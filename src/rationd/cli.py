@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import analysis, data
 from .model import Allocation, Instance, MalformedInstance, TieBreak, TieBreakOrder, check_allocation, overall_quotas, precedence, total_utility
-from .offline import OracleBudgetExceeded, solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
+from .offline import ORACLE_BUDGET, OracleBudgetExceeded, solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
 from .online import run_online, run_online_with_trace
 
 EXIT_OK = 0
@@ -180,18 +180,15 @@ def cmd_compare(args: argparse.Namespace) -> None:
     _print_summary(instance, offline_alloc, _label("offline", model2), offline_seconds, args.exact)
     print()
 
-    opt = total_utility(instance, offline_alloc)
-    alg = total_utility(instance, online_alloc)
-    bound = analysis.model2_bound(instance) if model2 else analysis.model1_bound(instance)
-    if alg == 0 and opt > 0:
+    check = analysis.ratio_check(instance, online_alloc, offline_alloc)
+    if check.ratio is None:
         raise CommandFailed(EXIT_CERTIFICATE, "ratio     : infinite (online earned nothing)")
-    ratio = Fraction(1) if alg == 0 else opt / alg
-    efficiency = Fraction(1) if opt == 0 else alg / opt
-    tight = " [tight]" if ratio == bound else ""
-    print(f"optimal/online ratio : {_value(ratio, args.exact)}{tight}")
-    print(f"worst-case bound     : {_value(bound, args.exact)}")
+    efficiency = Fraction(1) if check.opt == 0 else check.alg / check.opt
+    tight = " [tight]" if check.ratio == check.bound else ""
+    print(f"optimal/online ratio : {_value(check.ratio, args.exact)}{tight}")
+    print(f"worst-case bound     : {_value(check.bound, args.exact)}")
     print(f"empirical efficiency : {_decimal(efficiency)} (online/optimal)")
-    if ratio > bound:
+    if not check.holds:
         raise CommandFailed(EXIT_CERTIFICATE, "ratio exceeds the worst-case bound (bug)")
 
     if args.metrics_dir:
@@ -246,10 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> None:
             report.bound_certified,
             report.failure_reason or "",
         )
-        opt = total_utility(instance, offline_alloc)
-        alg = total_utility(instance, online_alloc)
-        bound = analysis.model2_bound(instance) if overall_quotas(instance) else analysis.model1_bound(instance)
-        outcome("worst-case ratio bound", opt <= bound * alg)
+        check = analysis.ratio_check(instance, online_alloc, offline_alloc)
+        shortfall = f"optimum {_exact(check.opt)} > bound {_exact(check.bound)} x online {_exact(check.alg)}"
+        outcome("worst-case ratio bound", check.holds, "" if check.holds else shortfall)
 
     rng = random.Random(args.seed)
     agent_ids = [a.id for a in instance.agents]
@@ -290,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", required=True, choices=["online", "offline", "oracle"], help="offline: model 1 only")
     p_solve.add_argument("--out", help="allocation file to write")
     p_solve.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence; not for oracle")
-    p_solve.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
+    p_solve.add_argument("--budget", type=_count, default=ORACLE_BUDGET, help="oracle search budget (>= 0)")
     p_solve.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")
     p_solve.set_defaults(func=cmd_solve)
 
     p_compare = sub.add_parser("compare", help="run online and offline and compare")
     p_compare.add_argument("instance", help="instance file")
     p_compare.add_argument("--tie-break", help="'adversarial' or a comma-separated agent precedence for the online run")
-    p_compare.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
+    p_compare.add_argument("--budget", type=_count, default=ORACLE_BUDGET, help="oracle search budget (>= 0)")
     p_compare.add_argument("--metrics-dir", help="directory for coverage metric CSVs")
     p_compare.add_argument("--exact", action="store_true", help="print exact rationals alongside decimals")
     p_compare.set_defaults(func=cmd_compare)
@@ -305,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite on an instance")
     p_verify.add_argument("instance", help="instance file")
     p_verify.add_argument("--allocation", help="also feasibility-check this allocation file")
-    p_verify.add_argument("--budget", type=_count, default=1_000_000, help="oracle search budget (>= 0)")
+    p_verify.add_argument("--budget", type=_count, default=ORACLE_BUDGET, help="oracle search budget (>= 0)")
     p_verify.add_argument("--seed", type=int, default=0, help="seed that picks the agents to probe for deviations")
     p_verify.add_argument(
         "--deviation-agents", type=_count, default=4, help="how many agents to probe for deviations (>= 0)"

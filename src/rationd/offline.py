@@ -38,6 +38,10 @@ class OracleBudgetExceeded(RuntimeError):
     """The exhaustive oracle refused to run: the search budget is too small."""
 
 
+# Search nodes the exhaustive oracle may visit unless its caller says otherwise.
+ORACLE_BUDGET = 1_000_000
+
+
 @dataclass(frozen=True)
 class Hub:
     """The arcs of one hub ``(E, d)``: ``feeds`` are its (arc index,
@@ -211,7 +215,7 @@ def solve_offline_tiebroken(instance: Instance, tie_break: TieBreak) -> Allocati
     return rmap.allocation(result.arc_flows)
 
 
-def solve_exact_oracle(instance: Instance, model2: bool | None = None, budget: int = 1_000_000) -> Allocation:
+def solve_exact_oracle(instance: Instance, model2: bool | None = None, budget: int = ORACLE_BUDGET) -> Allocation:
     """Exhaustive branch-and-bound over agent assignments. Exact and slow.
 
     Honors the overall quotas of :func:`~rationd.model.overall_quotas`;

@@ -6,7 +6,9 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from rationd.model import Agent, Category, Instance
+from rationd.analysis import offline_optimum, ratio_check
+from rationd.model import Agent, Category, Instance, TieBreak
+from rationd.online import run_online
 
 
 def tight_model1(discount: Fraction = Fraction(19, 20), priority: Fraction = Fraction(1, 2)) -> Instance:
@@ -49,6 +51,12 @@ def tight_general(
         daily_supply=(1, 2),
         discount=discount,
     )
+
+
+def online_ratio(instance: Instance, tie_break: TieBreak = None) -> Fraction | None:
+    """The offline optimum's utility over the online run's, by
+    :func:`~rationd.analysis.ratio_check`."""
+    return ratio_check(instance, run_online(instance, tie_break=tie_break), offline_optimum(instance)).ratio
 
 
 def without_overall_quotas(instance: Instance, categories=None) -> Instance:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from rationd.analysis import (
     availability_deviation_report,
     build_charging_report,
-    competitive_ratio,
     compute_metrics,
     max_matching_size,
     model1_bound,
@@ -27,7 +26,7 @@ from rationd.model import Agent, Instance, check_allocation, total_utility
 from rationd.offline import solve_exact_oracle, solve_offline_model1
 from rationd.online import run_online, run_online_with_trace
 
-from helpers import random_instance
+from helpers import online_ratio, random_instance
 
 
 @contextmanager
@@ -63,7 +62,7 @@ def test_criterion_1_tight_example_daily_quotas():
         started = time.perf_counter()
         inst = load_fixture("tight_model1")
         assert inst.discount == Fraction(19, 20)
-        ratio = competitive_ratio(inst, tie_break="adversarial")
+        ratio = online_ratio(inst, tie_break="adversarial")
         assert ratio == Fraction(39, 20)
         assert ratio == 1 + inst.discount == model1_bound(inst)
         assert time.perf_counter() - started < 1.0
@@ -75,7 +74,7 @@ def test_criterion_2_tight_example_overall_quotas():
         inst = load_fixture("tight_general")
         discount = Fraction(1, 2)
         assert inst.discount == discount
-        ratio = competitive_ratio(inst, model2=True, tie_break="adversarial")
+        ratio = online_ratio(inst, tie_break="adversarial")
         spread = Fraction(2, 5) / Fraction(1, 5)
         assert ratio == 1 + discount + spread * discount == Fraction(5, 2)
         assert ratio == model2_bound(inst)

@@ -18,23 +18,23 @@ from rationd.analysis import (
     _certify,
     availability_deviation_report,
     build_charging_report,
-    competitive_ratio,
     compute_metrics,
     max_matching_size,
     model1_bound,
     model2_bound,
+    offline_optimum,
+    ratio_check,
     wasted_slots,
 )
 
-from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
+from helpers import online_ratio, random_instance, tight_general, tight_model1, without_overall_quotas
 from oracles import best_utility, charging_by_target_lists, deviation_outcomes_by_rerun, injection_by_recursion, iter_allocations
 
 
-class TestCompetitiveRatio:
+class TestRatioCheck:
     def test_tight_model1_is_one_plus_discount(self):
         inst = tight_model1(discount=Fraction(19, 20))
-        ratio = competitive_ratio(inst, tie_break="adversarial")
-        assert ratio == Fraction(39, 20)
+        assert online_ratio(inst, tie_break="adversarial") == Fraction(39, 20)
 
     def test_single_agent_ratio_is_one(self):
         inst = Instance(
@@ -44,14 +44,55 @@ class TestCompetitiveRatio:
             daily_supply=(1, 1, 1),
             discount=Fraction(1, 2),
         )
-        assert competitive_ratio(inst) == 1
+        assert online_ratio(inst) == 1
 
     def test_tight_general_plugs_into_the_bound(self):
         inst = tight_general(discount=Fraction(1, 2))
-        ratio = competitive_ratio(inst, model2=True, tie_break="adversarial")
+        ratio = online_ratio(inst, tie_break="adversarial")
         assert ratio == 1 + Fraction(1, 2) + Fraction(2, 5) / Fraction(1, 5) * Fraction(1, 2)
         assert ratio == Fraction(5, 2)
         assert ratio == model2_bound(inst)
+
+    @pytest.mark.parametrize(
+        "inst, bound",
+        [
+            (tight_model1(), model1_bound),
+            (tight_general(), model2_bound),
+            (without_overall_quotas(tight_general(), ["c2"]), model2_bound),
+        ],
+        ids=["model1", "model2", "model2-partly-capped"],
+    )
+    def test_the_instance_picks_the_bound(self, inst, bound):
+        empty = Allocation.empty(inst)
+        check = ratio_check(inst, empty, empty)
+        assert check.bound == bound(inst)
+        assert (check.opt, check.alg, check.ratio, check.holds) == (0, 0, 1, True)
+
+    @pytest.mark.parametrize("inst", [tight_model1(), tight_general()], ids=["model1", "model2"])
+    def test_an_online_side_that_earns_nothing_has_no_ratio(self, inst):
+        # run_online never does this on an instance where anything is
+        # matchable; a hand-built allocation reaches the branch.
+        check = ratio_check(inst, Allocation.empty(inst), offline_optimum(inst))
+        assert check.opt > 0 and check.alg == 0
+        assert check.ratio is None
+        assert not check.holds
+
+    @pytest.mark.parametrize("inst", [tight_model1(), tight_general()], ids=["model1", "model2"])
+    def test_the_adversarial_run_meets_the_bound(self, inst):
+        check = ratio_check(inst, run_online(inst, tie_break="adversarial"), offline_optimum(inst))
+        assert check.ratio == check.bound
+        assert check.opt == check.bound * check.alg
+        assert check.holds
+
+    def test_a_feasible_pair_past_the_bound_does_not_hold(self):
+        inst = tight_model1()
+        # Only a1, on day 2: 19/40 against the optimum's 39/40.
+        late = Allocation({"a1": ("c1", 2), "a2": None})
+        assert check_allocation(inst, late).ok
+        check = ratio_check(inst, late, offline_optimum(inst))
+        assert (check.opt, check.alg) == (Fraction(39, 40), Fraction(19, 40))
+        assert check.ratio == Fraction(39, 19) > check.bound == model1_bound(inst)
+        assert not check.holds
 
 
 class TestChargingReport:

@@ -316,6 +316,22 @@ class TestCompare:
         exact = Fraction(re.search(r"\(exact (\d+(?:/\d+)?)\)", ratio_line).group(1))
         assert 1 <= exact <= 1 + Fraction(19, 20)
 
+    def test_online_earning_nothing_stops_after_both_summaries(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_online", lambda instance, **kwargs: Allocation.empty(instance))
+        assert run(["compare", TIGHT_M1]) == cli.EXIT_CERTIFICATE
+        captured = capsys.readouterr()
+        assert "solver    : online1" in captured.out and "solver    : offline1" in captured.out
+        assert "ratio" not in captured.out
+        assert captured.err == "ratio     : infinite (online earned nothing)\n"
+
+    def test_ratio_above_the_bound_stops_after_printing_it(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "model1_bound", lambda instance: Fraction(1))
+        assert run(["compare", TIGHT_M1, "--tie-break", "adversarial"]) == cli.EXIT_CERTIFICATE
+        captured = capsys.readouterr()
+        assert "optimal/online ratio : 1.950000\n" in captured.out
+        assert "worst-case bound     : 1.000000\n" in captured.out
+        assert captured.err == "ratio exceeds the worst-case bound (bug)\n"
+
     def test_model2_compare_with_metrics(self, tmp_path, capsys):
         metrics = tmp_path / "metrics"
         assert run(["compare", TIGHT_GEN, "--tie-break", "adversarial", "--metrics-dir", str(metrics)]) == 0
@@ -452,6 +468,14 @@ class TestVerify:
         ]
         assert lines[-1] == "all verification steps passed (2 skipped)"
 
+    def test_failed_ratio_step_names_its_numbers(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "model1_bound", lambda instance: Fraction(1, 2))
+        assert run(["verify", TIGHT_M1]) == cli.EXIT_CERTIFICATE
+        captured = capsys.readouterr()
+        assert "[PASS] charge certificate\n" in captured.out
+        assert "[FAIL] worst-case ratio bound (optimum 39/40 > bound 1/2 x online 39/40)\n" in captured.out
+        assert captured.err == "1 verification step(s) failed\n"
+
     def test_seed_picks_the_probed_agents(self, monkeypatch, capsys):
         probed = []
         real = analysis.availability_deviation_report
@@ -553,6 +577,7 @@ GOLDEN_COMMANDS = {
     "compare-bad-tie-break": ["compare", "--tie-break", "a1"],
     "solve-budget-1": ["solve", "--algorithm", "oracle", "--budget", "1"],
     "compare-budget-1": ["compare", "--budget", "1"],
+    "verify-budget-1": ["verify", "--budget", "1"],
 }
 
 

@@ -13,7 +13,6 @@ import rationd
 from rationd.analysis import (
     availability_deviation_report,
     build_charging_report,
-    competitive_ratio,
     compute_metrics,
     model2_bound,
     offline_optimum,
@@ -39,7 +38,7 @@ from rationd.model import (
 from rationd.offline import solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
 from rationd.online import run_online, run_online_with_trace
 
-from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
+from helpers import online_ratio, random_instance, tight_general, tight_model1, without_overall_quotas
 from oracles import best_utility
 
 
@@ -313,7 +312,6 @@ TAKES_MODEL2 = {
         inst, Allocation.empty(inst), Allocation.empty(inst), model2=model2
     ),
     "check_allocation": lambda inst, model2: check_allocation(inst, Allocation.empty(inst), model2=model2),
-    "competitive_ratio": lambda inst, model2: competitive_ratio(inst, model2=model2),
     "overall_quotas": lambda inst, model2: overall_quotas(inst, model2=model2),
     "run_online": lambda inst, model2: run_online(inst, model2=model2),
     "run_online_with_trace": lambda inst, model2: run_online_with_trace(inst, model2=model2),
@@ -355,7 +353,7 @@ class TestModelRule:
         mixed = without_overall_quotas(capped, ["c2"])
         assert overall_quotas(mixed) == {"c1": 1}
         optimum = solve_exact_oracle(mixed, model2=True)
-        assert optimum == solve_exact_oracle(capped) == offline_optimum(mixed, 1_000_000)
+        assert optimum == solve_exact_oracle(capped) == offline_optimum(mixed)
         assert check_allocation(mixed, optimum, model2=True).ok
         for tie_break in (None, "adversarial"):
             online_alloc = run_online(mixed, model2=True, tie_break=tie_break)
@@ -367,7 +365,7 @@ class TestModelRule:
             for agent in mixed.agents:
                 report = availability_deviation_report(mixed, agent.id, model2=True, tie_break=tie_break)
                 assert report == availability_deviation_report(capped, agent.id, tie_break=tie_break)
-        assert competitive_ratio(mixed, model2=True, tie_break="adversarial") == model2_bound(mixed) == Fraction(5, 2)
+        assert online_ratio(mixed, tie_break="adversarial") == model2_bound(mixed) == Fraction(5, 2)
         # The flow solvers solve model 1 only and refuse it alike.
         for solve in (solve_offline_model1, lambda inst: solve_offline_tiebroken(inst, None)):
             with pytest.raises(ModelMismatch) as raised:

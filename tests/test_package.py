@@ -76,3 +76,11 @@ def test_only_model_validates_instances():
     for module in LAYERS:
         if module != "model":
             assert "validate_instance" not in names_read(module), module
+
+
+def test_only_analysis_picks_the_worst_case_bound():
+    # analysis.ratio_check picks the bound for the instance's model and
+    # takes opt/alg; the commands print from its result.
+    for module in LAYERS:
+        if module != "analysis":
+            assert not {"model1_bound", "model2_bound"} & names_read(module), module
