@@ -92,11 +92,13 @@ def _label(algorithm: str, model2: bool) -> str:
     return {"online": "online1", "offline": "offline1", "oracle": "oracle"}[algorithm]
 
 
-def _print_summary(instance: Instance, alloc: Allocation, solver: str, seconds: float, exact: bool) -> None:
+def _print_summary(instance: Instance, digest: str, alloc: Allocation, solver: str, seconds: float, exact: bool) -> None:
+    """One run's summary; ``digest`` is :func:`_digest` of ``instance``,
+    computed once per command."""
     per_day = [0] * instance.num_days
     for _a, _c, day in alloc.matched():
         per_day[day - 1] += 1
-    print(f"instance  : {_digest(instance)}")
+    print(f"instance  : {digest}")
     print(f"solver    : {solver}")
     print(f"matched   : {alloc.matched_count()} / {len(instance.agents)}")
     print(f"utility   : {_value(total_utility(instance, alloc), exact)}")
@@ -153,7 +155,7 @@ def cmd_solve(args: argparse.Namespace) -> None:
         raise CommandFailed(EXIT_CERTIFICATE, "solver produced an infeasible allocation (bug)")
     if args.out:
         data.write_allocation(alloc, args.out)
-    _print_summary(instance, alloc, _label(args.algorithm, model2), seconds, args.exact)
+    _print_summary(instance, _digest(instance), alloc, _label(args.algorithm, model2), seconds, args.exact)
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
@@ -175,9 +177,10 @@ def cmd_compare(args: argparse.Namespace) -> None:
     offline_alloc = analysis.offline_optimum(instance, args.budget)
     offline_seconds = time.perf_counter() - started
 
-    _print_summary(instance, online_alloc, _label("online", model2), online_seconds, args.exact)
+    digest = _digest(instance)
+    _print_summary(instance, digest, online_alloc, _label("online", model2), online_seconds, args.exact)
     print()
-    _print_summary(instance, offline_alloc, _label("offline", model2), offline_seconds, args.exact)
+    _print_summary(instance, digest, offline_alloc, _label("offline", model2), offline_seconds, args.exact)
     print()
 
     check = analysis.ratio_check(instance, online_alloc, offline_alloc)

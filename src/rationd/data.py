@@ -14,10 +14,13 @@ import math
 import random
 import re
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
-from typing import Any, Mapping
+from itertools import accumulate
+from typing import Any
 
 from .analysis import MetricsSeries, check_group_labels
 from .model import Agent, Allocation, Category, Instance, shown
@@ -33,9 +36,10 @@ class DataFormatError(ValueError):
 # Exact rational <-> string
 
 
-def format_rational(value: Fraction) -> str:
-    """Shortest exact decimal if one exists, else "numerator/denominator"."""
-    den = value.denominator
+@lru_cache(maxsize=256)
+def _decimal_places(den: int) -> int | None:
+    """How many decimal places 1/den takes (den = 2^a 5^b), or None when
+    its decimal does not end. Cached: an instance uses a few denominators."""
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
@@ -44,14 +48,19 @@ def format_rational(value: Fraction) -> str:
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest != 1:
-        return f"{value.numerator}/{den}"
-    places = max(twos, fives)
-    scaled = abs(value.numerator) * 10**places // den
-    sign = "-" if value.numerator < 0 else ""
-    digits = str(scaled).rjust(places + 1, "0")
+    return max(twos, fives) if rest == 1 else None
+
+
+def format_rational(value: Fraction) -> str:
+    """Shortest exact decimal if one exists, else "numerator/denominator"."""
+    num, den = value.numerator, value.denominator
+    places = _decimal_places(den)
+    if places is None:
+        return f"{num}/{den}"
     if places == 0:
-        return f"{sign}{digits}"
+        return str(num)
+    digits = str(abs(num) * 10**places // den).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -82,17 +91,36 @@ def parse_rational(text: object, where: str) -> Fraction:
 
 
 def _name(value: Any, where: str) -> str:
-    """An id or label as text (a JSON number is read by its digits)."""
-    try:
-        return str(value)
-    except ValueError:
-        raise DataFormatError(f"{where}: {shown(value)} cannot be used as a name") from None
+    """An id or label as text: a string, or a JSON number read by its digits.
+    Booleans, null, lists and objects are refused."""
+    if isinstance(value, str):
+        return value
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return str(value)
+        except ValueError:  # an integer past the interpreter's digit limit
+            pass
+    raise DataFormatError(f"{where}: {shown(value)} cannot be used as a name")
 
 
 def _expect(document: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in document:
         raise DataFormatError(f"{where}: missing field {key!r}")
     return document[key]
+
+
+# A 0/1 flag: JSON 0 or 1, or a value equal to one of them (true, false, 1.0).
+_FLAGS = frozenset((0, 1))
+
+
+def _is_flags(value: Any) -> bool:
+    """Whether ``value`` is a list of 0/1 flags."""
+    if not isinstance(value, list):
+        return False
+    try:
+        return _FLAGS.issuperset(value)
+    except TypeError:  # an unhashable entry: a list or an object
+        return False
 
 
 def _check_version(document: Mapping[str, Any], where: str) -> None:
@@ -102,6 +130,30 @@ def _check_version(document: Mapping[str, Any], where: str) -> None:
 
 
 def instance_to_document(instance: Instance, provenance: Mapping[str, Any] | None = None) -> dict[str, Any]:
+    # The agents of a generated or read instance share a few priority and
+    # eligible-set objects: format and sort each one once. Keys are object
+    # ids, which cost nothing to hash; the instance keeps every key alive.
+    priorities: dict[int, str] = {}
+    eligible: dict[int, list[str]] = {}
+    agents = []
+    for a in instance.agents:
+        priority = priorities.get(id(a.priority))
+        if priority is None:
+            priority = priorities[id(a.priority)] = format_rational(a.priority)
+        names = eligible.get(id(a.eligible))
+        if names is None:
+            names = eligible[id(a.eligible)] = sorted(a.eligible)
+        else:
+            names = names.copy()
+        agents.append(
+            {
+                "id": a.id,
+                "priority": priority,
+                "availability": [1 if bit else 0 for bit in a.availability],
+                "eligible": names,
+                "group": a.group,
+            }
+        )
     document: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "instance",
@@ -116,16 +168,7 @@ def instance_to_document(instance: Instance, provenance: Mapping[str, Any] | Non
             }
             for c in instance.categories
         ],
-        "agents": [
-            {
-                "id": a.id,
-                "priority": format_rational(a.priority),
-                "availability": [1 if bit else 0 for bit in a.availability],
-                "eligible": sorted(a.eligible),
-                "group": a.group,
-            }
-            for a in instance.agents
-        ],
+        "agents": agents,
     }
     if provenance is not None:
         document["provenance"] = dict(provenance)
@@ -144,48 +187,67 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
         raise DataFormatError(f"{where}.daily_supply: expected a list of integers")
     discount = parse_rational(_expect(document, "discount", where), f"{where}.discount")
 
+    # Inside a record, errors name the field from the record ("", ".id");
+    # the record's own place is put in front only when one is raised.
     categories: list[Category] = []
     raw_categories = _expect(document, "categories", where)
     if not isinstance(raw_categories, list):
         raise DataFormatError(f"{where}.categories: expected a list")
     for i, raw in enumerate(raw_categories):
-        spot = f"{where}.categories[{i}]"
-        if not isinstance(raw, Mapping):
-            raise DataFormatError(f"{spot}: expected an object")
-        quota = _expect(raw, "daily_quota", spot)
-        if not isinstance(quota, list) or not all(isinstance(q, int) for q in quota):
-            raise DataFormatError(f"{spot}.daily_quota: expected a list of integers")
-        overall = raw.get("overall_quota")
-        if overall is not None and not isinstance(overall, int):
-            raise DataFormatError(f"{spot}.overall_quota: expected an integer or null")
-        categories.append(Category(_name(_expect(raw, "id", spot), f"{spot}.id"), tuple(quota), overall))
+        try:
+            if not isinstance(raw, Mapping):
+                raise DataFormatError(": expected an object")
+            quota = _expect(raw, "daily_quota", "")
+            if not isinstance(quota, list) or not all(isinstance(q, int) for q in quota):
+                raise DataFormatError(".daily_quota: expected a list of integers")
+            overall = raw.get("overall_quota")
+            if overall is not None and not isinstance(overall, int):
+                raise DataFormatError(".overall_quota: expected an integer or null")
+            categories.append(Category(_name(_expect(raw, "id", ""), ".id"), tuple(quota), overall))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{where}.categories[{i}]{exc}") from None
 
+    # Each distinct priority string is parsed once and each distinct list of
+    # category names made a set once, so agents that share one share it.
+    priorities: dict[str, Fraction] = {}
+    eligible_sets: dict[tuple[str, ...], frozenset[str]] = {}
     agents: list[Agent] = []
     raw_agents = _expect(document, "agents", where)
     if not isinstance(raw_agents, list):
         raise DataFormatError(f"{where}.agents: expected a list")
     for i, raw in enumerate(raw_agents):
-        spot = f"{where}.agents[{i}]"
-        if not isinstance(raw, Mapping):
-            raise DataFormatError(f"{spot}: expected an object")
-        bits = _expect(raw, "availability", spot)
-        if not isinstance(bits, list) or not all(bit in (0, 1) for bit in bits):
-            raise DataFormatError(f"{spot}.availability: expected a list of 0/1 flags")
-        eligible = _expect(raw, "eligible", spot)
-        if not isinstance(eligible, list):
-            raise DataFormatError(f"{spot}.eligible: expected a list of category ids")
-        group = raw.get("group")
-        if group is not None and not isinstance(group, str):
-            raise DataFormatError(f"{spot}.group: expected a string or null")
-        agents.append(
-            Agent(
-                id=_name(_expect(raw, "id", spot), f"{spot}.id"),
-                priority=parse_rational(_expect(raw, "priority", spot), f"{spot}.priority"),
-                availability=tuple(bool(bit) for bit in bits),
-                eligible=frozenset(_name(e, f"{spot}.eligible") for e in eligible),
-                group=group,
-            )
-        )
+        try:
+            if not isinstance(raw, Mapping):
+                raise DataFormatError(": expected an object")
+            bits = _expect(raw, "availability", "")
+            if not _is_flags(bits):
+                raise DataFormatError(".availability: expected a list of 0/1 flags")
+            eligible = _expect(raw, "eligible", "")
+            if not isinstance(eligible, list):
+                raise DataFormatError(".eligible: expected a list of category ids")
+            group = raw.get("group")
+            if group is not None and not isinstance(group, str):
+                raise DataFormatError(".group: expected a string or null")
+            agent_id = _name(_expect(raw, "id", ""), ".id")
+            text = _expect(raw, "priority", "")
+            if not isinstance(text, str):
+                priority = parse_rational(text, ".priority")
+            elif (priority := priorities.get(text)) is None:
+                priority = priorities[text] = parse_rational(text, ".priority")
+            key = tuple(eligible)
+            try:
+                names = eligible_sets.get(key)
+            except TypeError:  # an unhashable entry, which _name refuses
+                names = None
+            if names is None:
+                names = frozenset(_name(e, ".eligible") for e in eligible)
+                # Only lists of strings are kept: (1,) equals (True,), which
+                # is refused, and (1.0,), which names "1.0".
+                if all(isinstance(e, str) for e in key):
+                    eligible_sets[key] = names
+            agents.append(Agent(agent_id, priority, tuple(map(bool, bits)), names, group))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{where}.agents[{i}]{exc}") from None
 
     return Instance(
         agents=tuple(agents),
@@ -196,11 +258,29 @@ def instance_from_document(document: Mapping[str, Any], where: str = "instance")
     )
 
 
-def write_instance(instance: Instance, path: str, provenance: Mapping[str, Any] | None = None) -> None:
-    document = instance_to_document(instance, provenance)
+def _write_document(document: Mapping[str, Any], path: str, records: tuple[str, ...]) -> None:
+    """Write ``document`` with one line per top-level field, except that the
+    fields named in ``records`` (each a list or an object) get one line per
+    entry. Every piece is encoded by ``json.dumps`` with no indent, which runs
+    the C encoder; ``json.dump`` always runs the pure-Python one."""
+    dumps = json.dumps
+    fields = []
+    for key, value in document.items():
+        head = f"  {dumps(key)}: "
+        if key in records and isinstance(value, list) and value:
+            fields.append(head + "[\n    " + ",\n    ".join([dumps(entry) for entry in value]) + "\n  ]")
+        elif key in records and isinstance(value, dict) and value:
+            # A one-entry object with its braces cut: keys are coerced as json.dump does.
+            entries = [dumps({name: entry})[1:-1] for name, entry in value.items()]
+            fields.append(head + "{\n    " + ",\n    ".join(entries) + "\n  }")
+        else:
+            fields.append(head + dumps(value))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+        handle.write("{\n" + ",\n".join(fields) + "\n}\n")
+
+
+def write_instance(instance: Instance, path: str, provenance: Mapping[str, Any] | None = None) -> None:
+    _write_document(instance_to_document(instance, provenance), path, ("categories", "agents"))
 
 
 def _read_json(path: str) -> Any:
@@ -248,21 +328,21 @@ def allocation_from_document(document: Mapping[str, Any], where: str = "allocati
         raise DataFormatError(f"{where}.assignment: expected an object")
     assignment: dict[str, tuple[str, int] | None] = {}
     for agent_id, slot in raw.items():
-        spot = f"{where}.assignment[{agent_id!r}]"
         if slot is None:
             assignment[str(agent_id)] = None
             continue
-        if not isinstance(slot, Mapping):
-            raise DataFormatError(f"{spot}: expected null or an object")
-        day = _integer(_expect(slot, "day", spot), f"{spot}.day")
-        assignment[str(agent_id)] = (_name(_expect(slot, "category", spot), f"{spot}.category"), day)
+        try:
+            if not isinstance(slot, Mapping):
+                raise DataFormatError(": expected null or an object")
+            day = _integer(_expect(slot, "day", ""), ".day")
+            assignment[str(agent_id)] = (_name(_expect(slot, "category", ""), ".category"), day)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{where}.assignment[{agent_id!r}]{exc}") from None
     return Allocation(assignment)
 
 
 def write_allocation(alloc: Allocation, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(allocation_to_document(alloc), handle, indent=2)
-        handle.write("\n")
+    _write_document(allocation_to_document(alloc), path, ("assignment",))
 
 
 def read_allocation(path: str) -> Allocation:
@@ -400,25 +480,21 @@ def generate(config: GeneratorConfig) -> Instance:
         for home in range(config.num_hospitals)
     ]
 
-    labels = [spec.label for spec in config.group_specs]
-    weights = [spec.weight for spec in config.group_specs]
-    priority_of = {spec.label: spec.priority for spec in config.group_specs}
+    # choices(cum_weights=...) draws exactly as choices(weights=...), which
+    # accumulates the same weights on every call.
+    specs = config.group_specs
+    cum_weights = list(accumulate(spec.weight for spec in specs))
+    days = range(config.num_days)
+    density = config.availability_density
+    randrange, choices, draw = rng.randrange, rng.choices, rng.random
 
     agent_width = max(1, len(str(max(1, config.num_agents - 1))))
     agents = []
     for k in range(config.num_agents):
-        home = rng.randrange(config.num_hospitals)
-        label = rng.choices(labels, weights=weights)[0]
-        availability = tuple(rng.random() < config.availability_density for _ in range(config.num_days))
-        agents.append(
-            Agent(
-                id=f"a{k:0{agent_width}d}",
-                priority=priority_of[label],
-                availability=availability,
-                eligible=serving[home],
-                group=label,
-            )
-        )
+        home = randrange(config.num_hospitals)
+        spec = choices(specs, cum_weights=cum_weights)[0]
+        availability = tuple([draw() < density for _ in days])
+        agents.append(Agent(f"a{k:0{agent_width}d}", spec.priority, availability, serving[home], spec.label))
 
     return Instance(
         agents=tuple(agents),

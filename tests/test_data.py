@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,9 +30,11 @@ from rationd.data import (
 )
 from rationd.model import Allocation, MalformedInstance, validate_instance
 from rationd.analysis import compute_metrics
+from rationd.offline import solve_offline_model1
 from rationd.online import run_online
 
 from helpers import random_instance, tight_general, tight_model1
+from test_acceptance import SCALED_CONFIG
 
 
 class TestRationalStrings:
@@ -118,6 +122,100 @@ class TestInstanceFiles:
         again = read_instance(str(path))
         assert again.discount == Fraction(2, 3)
         assert again.agents[0].priority == Fraction(1, 3)
+
+
+class TestNames:
+    """Ids, eligible entries and allocation categories are strings or JSON
+    numbers read by their digits; no other JSON value names anything."""
+
+    @pytest.mark.parametrize("value", [None, True, False, [1], {"k": 1}], ids=repr)
+    @pytest.mark.parametrize(
+        "path",
+        [("agents", 0, "id"), ("agents", 0, "eligible", 0), ("categories", 0, "id")],
+        ids=["agent-id", "eligible-entry", "category-id"],
+    )
+    def test_instance_names_refuse_other_json_values(self, path, value):
+        document = _replaced(instance_to_document(tight_general()), path, value)
+        with pytest.raises(DataFormatError, match="cannot be used as a name"):
+            instance_from_document(document)
+
+    def test_a_null_category_does_not_match_a_null_eligible_entry(self):
+        document = instance_to_document(tight_general())
+        document["categories"][0]["id"] = None
+        document["agents"][1]["eligible"] = [None]
+        with pytest.raises(DataFormatError, match=r"categories\[0\]\.id: None cannot be used as a name"):
+            instance_from_document(document)
+
+    def test_a_number_list_read_before_is_not_reused_for_equal_values(self):
+        # (True,) == (1,): the reader must not answer [true] with the set it made for [1].
+        document = instance_to_document(tight_general())
+        document["categories"][0]["id"] = "1"
+        document["agents"][0]["eligible"] = [1]
+        document["agents"][1]["eligible"] = [True]
+        with pytest.raises(DataFormatError, match=r"agents\[1\]\.eligible: True cannot be used as a name"):
+            instance_from_document(document)
+
+    @pytest.mark.parametrize("value", [None, True, [1]], ids=repr)
+    def test_allocation_category_refuses_other_json_values(self, value):
+        document = {"schema_version": 1, "kind": "allocation", "assignment": {"a1": {"category": value, "day": 1}}}
+        with pytest.raises(DataFormatError, match=r"assignment\['a1'\]\.category: .* cannot be used as a name"):
+            allocation_from_document(document)
+
+    def test_numbers_are_read_by_their_digits(self):
+        document = instance_to_document(tight_general())
+        document["agents"][0]["id"] = 7
+        document["agents"][1]["id"] = 2.5
+        assert [a.id for a in instance_from_document(document).agents[:2]] == ["7", "2.5"]
+
+
+def _written_cases():
+    """(writer, reader, to_document, value, extra writer args) for every
+    writer test: both fixtures, a generated instance with provenance, and
+    online and offline allocations that leave agents unmatched."""
+    config = GeneratorConfig(
+        num_agents=30,
+        num_days=3,
+        num_hospitals=3,
+        supply_model=SupplyModel(supply_low=1, supply_high=3, quota_low=0, quota_high=2),
+        seed=4,
+    )
+    scarce = generate(config)
+    online = run_online(tight_model1(), tie_break="adversarial")
+    offline = solve_offline_model1(scarce)
+    assert online.matched_count() < len(online.assignment)
+    assert offline.matched_count() < len(offline.assignment)
+    instance = (write_instance, read_instance, instance_to_document)
+    allocation = (write_allocation, read_allocation, allocation_to_document)
+    return {
+        "fixture-tight_model1": (*instance, load_fixture("tight_model1"), ()),
+        "fixture-tight_general": (*instance, load_fixture("tight_general"), ()),
+        "generated-with-provenance": (*instance, scarce, (config_to_document(config),)),
+        "online-allocation": (*allocation, online, ()),
+        "offline-allocation": (*allocation, offline, ()),
+    }
+
+
+WRITTEN = _written_cases()
+
+
+class TestWriters:
+    @pytest.mark.parametrize("case", sorted(WRITTEN))
+    def test_written_file_is_the_document_one_line_per_record(self, tmp_path, case):
+        write, read, to_document, value, extra = WRITTEN[case]
+        path = tmp_path / "out.json"
+        write(value, str(path), *extra)
+        text = path.read_text(encoding="utf-8")
+        document = to_document(value, *extra)
+        assert json.loads(text) == document
+        assert read(str(path)) == value
+        assert text.endswith("}\n") and not text.endswith("\n\n")
+        lines = [line.strip().rstrip(",") for line in text.splitlines()]
+        records = [json.dumps(entry) for key in ("categories", "agents") for entry in document.get(key, ())]
+        records += [json.dumps({name: slot})[1:-1] for name, slot in document.get("assignment", {}).items()]
+        assert records and all(record in lines for record in records)
+        # Braces, one line per field, and one more per record list's closing bracket.
+        record_lists = sum(1 for key in ("categories", "agents", "assignment") if document.get(key))
+        assert len(lines) == 2 + len(document) + len(records) + record_lists
 
 
 class TestAllocationFiles:
@@ -226,6 +324,44 @@ class TestGenerator:
     def test_config_document_round_trip(self):
         config = self.config()
         assert config_from_document(config_to_document(config)) == config
+
+
+# The values of PROBE_CONFIG in perfbench/workloads.py.
+PROBE_CONFIG = GeneratorConfig(
+    num_agents=100,
+    num_days=4,
+    num_hospitals=4,
+    availability_density=0.5,
+    supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
+    seed=7,
+)
+TWO_GROUPS_CONFIG = GeneratorConfig(
+    num_agents=300,
+    num_days=6,
+    num_hospitals=9,
+    cluster_radius_links=2,
+    availability_density=0.4,
+    group_specs=(GroupSpec("young", 2.0, Fraction(1, 3)), GroupSpec("old", 1.0, Fraction(9, 10))),
+    discount=Fraction(2, 3),
+    seed=5,
+)
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    [
+        (PROBE_CONFIG, "361d156872af9edbf8080b5149e3ebcdad781a93324aae3ff65e7f44685ac5f9"),
+        (replace(PROBE_CONFIG, seed=8), "03effbf2ce606026ebdb112122ec1f083db86541dcec10d0bf83c4ae43127550"),
+        (SCALED_CONFIG, "3226e44616b729f0884aceb803deaacc8eaef34e63abb203b13166cf6aaea0f5"),
+        (TWO_GROUPS_CONFIG, "0cae7c20124a0e2d5f8d568bd6b3cde70676d05e27d05aa5d12f894fcfeedb03"),
+    ],
+    ids=["probe-seed-7", "probe-seed-8", "scaled-seed-42", "two-groups-radius-2"],
+)
+def test_generated_instances_are_pinned(config, digest):
+    """The generator draws exactly these instances; the benchmark's pinned
+    optima (perfbench/pins.json) hold only for them."""
+    canonical = json.dumps(instance_to_document(generate(config)), sort_keys=True)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == digest
 
 
 class TestExportMetrics:
