@@ -135,30 +135,25 @@ class ChargingReport:
     matching, and the checks above are made again independently of it.
     """
 
-    type1_agents: frozenset[str]
     charges: tuple[Charge, ...]
-    per_target_load: Mapping[str, tuple[Fraction, ...]]
-    bound_certified: bool
     failure_day: int | None = None
     failure_reason: str | None = None
 
+    @property
+    def bound_certified(self) -> bool:
+        return self.failure_reason is None
 
-def _report(
-    type1: frozenset[str], charges: list[Charge], day: int | None = None, reason: str | None = None
-) -> ChargingReport:
-    """The report on ``charges``: certified unless a failure ``reason`` is
-    given."""
-    loads: dict[str, list[Fraction]] = defaultdict(list)
-    for charge in charges:
-        loads[charge.target].append(charge.factor)
-    return ChargingReport(
-        type1_agents=type1,
-        charges=tuple(charges),
-        per_target_load={t: tuple(fs) for t, fs in loads.items()},
-        bound_certified=reason is None,
-        failure_day=day,
-        failure_reason=reason,
-    )
+    @property
+    def type1_agents(self) -> frozenset[str]:
+        return frozenset(c.charger for c in self.charges if c.kind == DELAYED_SELF)
+
+    @property
+    def per_target_load(self) -> dict[str, tuple[Fraction, ...]]:
+        """Each target's factors, in charge order."""
+        loads: dict[str, list[Fraction]] = defaultdict(list)
+        for charge in self.charges:
+            loads[charge.target].append(charge.factor)
+        return {t: tuple(fs) for t, fs in loads.items()}
 
 
 def build_charging_report(
@@ -210,7 +205,6 @@ def build_charging_report(
             charges.append(Charge(agent_id, agent_id, instance.discount ** (day - online_day), DELAYED_SELF))
         else:
             chargers.append((day, agent_id, cat_id))
-    type1 = frozenset(charge.charger for charge in charges)
     chargers.sort(key=lambda charger: (charger[0], -key[charger[1]]))
 
     options: dict[str, list[tuple]] = {}
@@ -227,13 +221,13 @@ def build_charging_report(
     for day, agent_id, _cat in chargers:
         bucket = seat.get(agent_id)
         if bucket is None:
-            return _report(type1, charges, day, f"no online target left for {agent_id!r}, offline-matched on day {day}")
+            return ChargingReport(tuple(charges), day, f"no online target left for {agent_id!r}, offline-matched on day {day}")
         target = agent_id if agent_id in selves else next(spare[bucket])
         factor = Fraction(key[agent_id], key[target])
         if bucket[0] == OVERFLOW:
             factor *= instance.discount ** (day - bucket[2])
         charges.append(Charge(agent_id, target, factor, bucket[0]))
-    return _certify(instance, scale, online_alloc, offline_alloc, type1, charges, capped)
+    return _certify(instance, scale, online_alloc, offline_alloc, charges, capped)
 
 
 def _certify(
@@ -241,16 +235,17 @@ def _certify(
     scale: UtilityScale,
     online_alloc: Allocation,
     offline_alloc: Allocation,
-    type1: frozenset[str],
     charges: list[Charge],
     capped: Mapping[str, int],
 ) -> ChargingReport:
-    spread = instance.priority_spread()
-    limit = {
-        SAME_DAY: Fraction(1),
-        DELAYED_SELF: instance.discount,
-        OVERFLOW: spread * instance.discount,
-    }
+    def refused(reason: str) -> ChargingReport:
+        return ChargingReport(tuple(charges), failure_reason=reason)
+
+    # Each kind's factor limit as integers (top, bottom): 1, the discount
+    # x/y, and the priority spread times it, (max key * x) / (min key * y).
+    x, y = instance.discount.numerator, instance.discount.denominator
+    keys = scale.keys.values()
+    limit = {SAME_DAY: (1, 1), DELAYED_SELF: (x, y), OVERFLOW: (max(keys, default=1) * x, min(keys, default=1) * y)}
     online_day = {a: d for a, _c, d in online_alloc.matched()}
     offline_slot = {a: (c, d) for a, c, d in offline_alloc.matched()}
 
@@ -259,22 +254,19 @@ def _certify(
         kinds_per_target[charge.target].append(charge.kind)
 
     if sorted(c.charger for c in charges) != sorted(offline_slot):
-        return _report(type1, charges, reason="chargers do not cover the offline-matched agents exactly once")
+        return refused("chargers do not cover the offline-matched agents exactly once")
     for charge in charges:
         if charge.target not in online_day:
-            return _report(type1, charges, reason=f"target {charge.target!r} is not online-matched")
+            return refused(f"target {charge.target!r} is not online-matched")
         if charge.kind == OVERFLOW and offline_slot[charge.charger][0] not in capped:
-            return _report(type1, charges, reason=f"overflow charge of {charge.charger!r} under an uncapped category")
-        if charge.factor > limit[charge.kind]:
-            return _report(
-                type1,
-                charges,
-                reason=f"{charge.kind} factor {charge.factor} of {charge.charger!r} -> {charge.target!r} "
-                f"exceeds {limit[charge.kind]}",
-            )
+            return refused(f"overflow charge of {charge.charger!r} under an uncapped category")
+        top, bottom = limit[charge.kind]
+        if charge.factor.numerator * bottom > top * charge.factor.denominator:
+            pair = f"{charge.charger!r} -> {charge.target!r}"
+            return refused(f"{charge.kind} factor {charge.factor} of {pair} exceeds {Fraction(top, bottom)}")
     for target, kinds in kinds_per_target.items():
         if len(kinds) != len(set(kinds)):
-            return _report(type1, charges, reason=f"target {target!r} carries repeated charge kinds {kinds}")
+            return refused(f"target {target!r} carries repeated charge kinds {kinds}")
 
     # Each factor carries its target's online utility to its charger's
     # offline utility exactly; summed, they reconstruct the offline utility.
@@ -282,8 +274,8 @@ def _certify(
         carried = charge.factor.numerator * scale.utility(charge.target, online_day[charge.target])
         if carried != charge.factor.denominator * scale.utility(charge.charger, offline_slot[charge.charger][1]):
             pair = f"{charge.charger!r} -> {charge.target!r}"
-            return _report(type1, charges, reason=f"{charge.kind} factor {charge.factor} of {pair} is not their utility ratio")
-    return _report(type1, charges)
+            return refused(f"{charge.kind} factor {charge.factor} of {pair} is not their utility ratio")
+    return ChargingReport(tuple(charges))
 
 
 # ---------------------------------------------------------------------------
@@ -432,31 +424,19 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
     labels = sorted({a.group for a in instance.agents if a.group is not None})
     check_group_labels(labels)
 
-    categories = instance.category_map()
-    capped = overall_quotas(instance)
-    consumed_before: dict[str, list[int]] = {
-        c.id: [0] * (instance.num_days + 1) for c in instance.categories
-    }
+    # The categories open on each day: a daily quota above 0 and, if capped,
+    # overall quota left under this allocation at the start of the day.
+    left = overall_quotas(instance)
+    used_on = [dict.fromkeys((c.id for c in instance.categories), 0) for _ in range(instance.num_days)]
     for _a, cat_id, day in alloc.matched():
-        consumed_before[cat_id][day] += 1
-    for cat_id, counts in consumed_before.items():
-        for day in range(1, instance.num_days + 1):
-            counts[day] += counts[day - 1]
-
-    def capacity(cat_id: str, day: int) -> int:
-        cap = categories[cat_id].daily_quota[day - 1]
-        if cat_id in capped:
-            cap = min(cap, capped[cat_id] - consumed_before[cat_id][day - 1])
-        return cap
-    reach_day: dict[str, int | None] = {}
-    for agent in instance.agents:
-        reach_day[agent.id] = None
-        for day in range(1, instance.num_days + 1):
-            if not agent.availability[day - 1]:
-                continue
-            if any(capacity(c, day) > 0 for c in agent.eligible):
-                reach_day[agent.id] = day
-                break
+        used_on[day - 1][cat_id] += 1
+    open_on: list[frozenset[str]] = []
+    for day, used in enumerate(used_on):
+        open_on.append(
+            frozenset(c.id for c in instance.categories if c.daily_quota[day] > 0 and (c.id not in left or left[c.id] > 0))
+        )
+        for cat_id in left:
+            left[cat_id] -= used[cat_id]
 
     # Per row and day: agents first reachable, agents matched, and their
     # utility times scale.scale.
@@ -464,7 +444,11 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
     rows = labels + ["all"]
     per_day = {label: [[0, 0, 0] for _ in range(instance.num_days + 1)] for label in rows}
     for agent in instance.agents:
-        first, matched_day = reach_day[agent.id], alloc.day_of(agent.id)
+        first = next(
+            (d for d, cats in enumerate(open_on, start=1) if agent.availability[d - 1] and not cats.isdisjoint(agent.eligible)),
+            None,
+        )
+        matched_day = alloc.day_of(agent.id)
         for label in ("all",) if agent.group is None else (agent.group, "all"):
             if first is not None:
                 per_day[label][first][0] += 1

@@ -412,10 +412,12 @@ class GeneratorConfig:
             if spec.label in labels:
                 raise ValueError(f"group label {spec.label!r} appears more than once")
             labels.add(spec.label)
-            if spec.weight <= 0:
-                raise ValueError(f"group {spec.label!r} weight must be positive")
+            if not 0 < spec.weight < math.inf:
+                raise ValueError(f"group {spec.label!r} weight must be a finite positive number")
             if not (0 < spec.priority < 1):
                 raise ValueError(f"group {spec.label!r} priority must lie strictly in (0, 1)")
+        if not sum(spec.weight for spec in self.group_specs) < math.inf:
+            raise ValueError("group weights must have a finite total")
         check_group_labels(spec.label for spec in self.group_specs)
         if not (0 < self.discount < 1):
             raise ValueError("discount must lie strictly in (0, 1)")
@@ -475,10 +477,7 @@ def generate(config: GeneratorConfig) -> Instance:
     daily_supply = tuple(rng.randint(sm.supply_low, sm.supply_high) for _ in range(config.num_days))
 
     # Which categories serve a given home facility (symmetric hop distance).
-    serving: list[frozenset[str]] = [
-        frozenset(cat_ids[c] for c, members in enumerate(clusters) if home in members)
-        for home in range(config.num_hospitals)
-    ]
+    serving: list[frozenset[str]] = [frozenset(cat_ids[c] for c in cluster) for cluster in clusters]
 
     # choices(cum_weights=...) draws exactly as choices(weights=...), which
     # accumulates the same weights on every call.

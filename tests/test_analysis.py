@@ -116,6 +116,11 @@ class TestChargingReport:
         assert report.bound_certified
         assert all(c.charger == c.target and c.factor == 1 for c in report.charges)
 
+    def test_the_empty_instance_is_certified_without_charges(self):
+        inst = Instance((), (), 1, (0,), Fraction(1, 2))
+        report = build_charging_report(inst, Allocation.empty(inst), Allocation.empty(inst))
+        assert report.bound_certified and report.charges == ()
+
     def test_tight_general_charges(self):
         inst = tight_general()
         online_alloc = run_online(inst, model2=True, tie_break="adversarial")
@@ -203,7 +208,7 @@ class TestChargingReport:
         )
         online_alloc = Allocation({"h1": ("c1", 1), "h2": ("c1", 1), "l1": None, "l2": None})
         offline_alloc = Allocation({"h1": None, "h2": None, "l1": ("c1", 1), "l2": ("c1", 1)})
-        return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, frozenset(), charges, {})
+        return _certify(inst, utility_scale(inst), online_alloc, offline_alloc, charges, {})
 
     def test_a_factor_that_is_not_the_true_ratio_names_its_charger(self):
         # Swapping the true factors 2/5 and 3/5 keeps each within its limit
@@ -250,7 +255,7 @@ class TestChargingReport:
         offline_alloc = solve_exact_oracle(inst)
         report = build_charging_report(inst, online_alloc, offline_alloc)
         assert [c.charger for c in report.charges if c.kind == OVERFLOW] == ["a2"]
-        inputs = (inst, utility_scale(inst), online_alloc, offline_alloc, report.type1_agents, list(report.charges))
+        inputs = (inst, utility_scale(inst), online_alloc, offline_alloc, list(report.charges))
         assert _certify(*inputs, {"c1": 1}).bound_certified
         assert _certify(*inputs, {"c2": 2}).failure_reason == "overflow charge of 'a2' under an uncapped category"
 
@@ -693,6 +698,62 @@ class TestMetrics:
         series = compute_metrics(inst, alloc)
         assert series.days[1]["all"].reachable == 1  # a2 never had capacity left
         assert series.days[1]["all"].fraction_unserved == 0
+
+    def test_reachable_matches_its_definition_on_every_allocation(self):
+        # On day j an agent is reachable once some available day d <= j had
+        # an eligible category with a daily quota above 0 and, if capped,
+        # overall quota left by the allocation's use before day d.
+        rng = random.Random(6161)
+        allocations = rows = 0
+        for k in range(300):
+            inst = random_instance(rng, max_agents=6, max_days=3, max_cats=2, max_cap=2, model2=k % 2 == 1, max_overall=3)
+            inst = replace(inst, agents=tuple(replace(a, group=rng.choice(("g", "h", None))) for a in inst.agents))
+            for assignment in iter_allocations(inst):
+                alloc = Allocation(assignment)
+
+                def has_room(category, day):
+                    used = sum(1 for _a, c, d in alloc.matched() if c == category.id and d < day)
+                    left = category.overall_quota is None or used < category.overall_quota
+                    return category.daily_quota[day - 1] > 0 and left
+
+                open_days = {
+                    a.id: [
+                        d
+                        for d in range(1, inst.num_days + 1)
+                        if a.availability[d - 1] and any(has_room(c, d) for c in inst.categories if c.id in a.eligible)
+                    ]
+                    for a in inst.agents
+                }
+                series = compute_metrics(inst, alloc)
+                for day, row in enumerate(series.days, start=1):
+                    for label in series.groups + ("all",):
+                        members = [a for a in inst.agents if label in ("all", a.group)]
+                        assert row[label].reachable == sum(1 for a in members if open_days[a.id] and open_days[a.id][0] <= day)
+                    rows += 1
+                allocations += 1
+        assert allocations > 1_200 and rows > 2_800
+
+
+class TestWastedSlots:
+    def test_lists_exactly_the_slots_that_can_be_added(self):
+        rng = random.Random(7373)
+        allocations = wasteful = 0
+        for k in range(300):
+            inst = random_instance(rng, max_agents=6, max_days=3, max_cats=2, max_cap=2, model2=k % 2 == 1, max_overall=3)
+            for assignment in iter_allocations(inst):
+                alloc = Allocation(assignment)
+                addable = tuple(
+                    (a.id, c.id, d)
+                    for a in inst.agents
+                    if assignment[a.id] is None
+                    for d in range(1, inst.num_days + 1)
+                    for c in inst.categories
+                    if check_allocation(inst, Allocation({**assignment, a.id: (c.id, d)})).ok
+                )
+                assert wasted_slots(inst, alloc) == addable
+                allocations += 1
+                wasteful += bool(addable)
+        assert allocations > 1_200 and wasteful > 600
 
 
 class TestBounds:

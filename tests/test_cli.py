@@ -77,6 +77,23 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "weights, reason",
+        [
+            ((float("nan"), 0.5), "group 'g0' weight must be a finite positive number"),
+            ((0.5, float("inf")), "group 'g1' weight must be a finite positive number"),
+            ((1e308, 1e308), "group weights must have a finite total"),
+        ],
+        ids=["nan", "inf", "total-overflows"],
+    )
+    def test_weights_that_are_not_finite_are_refused(self, tmp_path, capsys, weights, reason):
+        # The config file carries the JSON literals NaN and Infinity.
+        groups = [{"label": f"g{i}", "weight": w, "priority": "0.5"} for i, w in enumerate(weights)]
+        out = tmp_path / "x.json"
+        assert run(["generate", "--config", self.config_file(tmp_path, groups=groups), "--out", str(out)]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"invalid generator config: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "override, where",
         [
             ({"num_agents": True}, "num_agents: expected int, got True"),

@@ -313,6 +313,21 @@ class TestGenerator:
         with pytest.raises(ValueError):
             self.config(supply_model=SupplyModel(supply_low=5, supply_high=2)).validate()
 
+    @pytest.mark.parametrize(
+        "weights, reason",
+        [
+            ((float("nan"), 1.0), "group 'g0' weight must be a finite positive number"),
+            ((1.0, float("inf")), "group 'g1' weight must be a finite positive number"),
+            ((1e308, 1e308), "group weights must have a finite total"),
+        ],
+        ids=["nan", "inf", "total-overflows"],
+    )
+    def test_weights_must_be_finite(self, weights, reason):
+        specs = tuple(GroupSpec(f"g{i}", w, Fraction(1, 2)) for i, w in enumerate(weights))
+        with pytest.raises(ValueError) as raised:
+            generate(self.config(group_specs=specs))
+        assert str(raised.value) == reason
+
     def test_config_missing_field_is_loud(self, tmp_path):
         from rationd.data import read_generator_config
 
