@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .model import Allocation, Instance, TieBreak, UtilityScale, overall_quotas, total_utility, utility_scale
 from .offline import ORACLE_BUDGET, solve_exact_oracle, solve_offline_model1
@@ -88,6 +88,20 @@ def ratio_check(instance: Instance, online_alloc: Allocation, offline_alloc: All
     :func:`model2_bound` if some category has an overall quota, else :func:`model1_bound`."""
     bound = model2_bound(instance) if overall_quotas(instance) else model1_bound(instance)
     return RatioCheck(total_utility(instance, offline_alloc), total_utility(instance, online_alloc), bound)
+
+
+def _misplaced(instance: Instance, alloc: Allocation, agents: Container[str], categories: Container[str]) -> str | None:
+    """What the first matched entry of ``alloc`` names that ``instance``
+    lacks: an agent not in ``agents``, a category not in ``categories`` or a
+    day outside 1..num_days. None when every entry fits."""
+    for agent_id, cat_id, day in alloc.matched():
+        if agent_id not in agents:
+            return f"allocation names unknown agent {agent_id!r}"
+        if cat_id not in categories:
+            return f"agent {agent_id!r} matched under unknown category {cat_id!r}"
+        if not 1 <= day <= instance.num_days:
+            return f"agent {agent_id!r} matched on day {day}, outside 1..{instance.num_days}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +195,18 @@ def build_charging_report(
     A charger seated on its own same-day bucket charges itself, and the
     others take their bucket's remaining members in allocation order. A
     charger left without a seat makes the report uncertified, with its day
-    as the witness. Failures are reported, never raised.
+    as the witness. So does, with no day, the first entry of either
+    allocation that names an agent, category or day the instance lacks.
+    Failures are reported, never raised.
     """
     capped = overall_quotas(instance, model2)
     scale = utility_scale(instance)
     key = scale.keys
+    cat_ids = {c.id for c in instance.categories}
+    for side, alloc in (("online", online_alloc), ("offline", offline_alloc)):
+        reason = _misplaced(instance, alloc, key, cat_ids)
+        if reason is not None:
+            return ChargingReport((), failure_reason=f"{side} {reason}")
 
     members: dict[tuple, list[str]] = defaultdict(list)
     for agent_id, cat_id, day in online_alloc.matched():
@@ -357,7 +378,7 @@ def availability_deviation_report(
     if agent is None:
         raise ValueError(f"unknown agent {agent_id!r}")
     ranking, remaining = online._ranking(instance, tie_break), overall_quotas(instance, model2)
-    position = {a: i for i, a in enumerate(ranking.order)}
+    position = dict(zip(ranking.order, range(len(ranking.order))))
     rank = position[agent_id]
     pool = [a for a in ranking.order if a != agent_id]
 
@@ -419,10 +440,14 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
     on which an eligible category had capacity left (daily quota, clipped by
     the overall quota remaining under this very allocation). Unlabelled
     agents count toward "all" only. Raises ValueError for a label that
-    :func:`check_group_labels` refuses.
+    :func:`check_group_labels` refuses, and naming the first matched entry
+    of ``alloc`` whose agent, category or day the instance lacks.
     """
     labels = sorted({a.group for a in instance.agents if a.group is not None})
     check_group_labels(labels)
+    reason = _misplaced(instance, alloc, instance.agent_map(), {c.id for c in instance.categories})
+    if reason is not None:
+        raise ValueError(reason)
 
     # The categories open on each day: a daily quota above 0 and, if capped,
     # overall quota left under this allocation at the start of the day.
@@ -548,9 +573,14 @@ def wasted_slots(instance: Instance, alloc: Allocation, model2: bool | None = No
     """(agent, category, day) triples that could be added outright.
 
     Empty means the allocation is non-wasteful: nobody eligible and available
-    is left out while supply and quotas have room.
+    is left out while supply and quotas have room. Raises ValueError naming
+    the first matched entry of ``alloc`` whose agent, category or day the
+    instance lacks.
     """
     capped = overall_quotas(instance, model2)
+    reason = _misplaced(instance, alloc, instance.agent_map(), {c.id for c in instance.categories})
+    if reason is not None:
+        raise ValueError(reason)
     used_day: dict[int, int] = defaultdict(int)
     used_cat_day: dict[tuple[str, int], int] = defaultdict(int)
     used_cat: dict[str, int] = defaultdict(int)

@@ -309,7 +309,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
             )
         if problem := _unit_interval_problem(agent.priority, "must lie strictly in (0, 1)"):
             flag("priority", (agent.id,), f"agent {agent.id!r} priority {problem}")
-        if not agent.eligible <= seen_categories:
+        if not isinstance(agent.eligible, frozenset):
+            flag("eligibility", (agent.id,), f"agent {agent.id!r} eligible categories must be a frozenset, got {type(agent.eligible).__name__}")
+        elif not agent.eligible <= seen_categories:
             for cat_id in sorted(agent.eligible - seen_categories):
                 flag("eligibility", (agent.id, cat_id), f"agent {agent.id!r} is eligible for unknown category {cat_id!r}")
 

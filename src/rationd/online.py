@@ -110,8 +110,17 @@ def _ranking(instance: Instance, tie_break: TieBreak) -> _Ranking:
     # precedence.
     order = tuple(sorted(by_precedence, key=priority_keys(instance)[1].__getitem__, reverse=True))
     cat_ids = tuple(c.id for c in instance.categories)
-    eligible = {a.id: tuple(c for c in cat_ids if c in a.eligible) for a in instance.agents}
-    return _Ranking(order, {a: i for i, a in enumerate(by_precedence)}, eligible)
+    # Each distinct eligible set is put in instance order once, and agents
+    # with equal sets share the tuple; a frozenset caches its hash, so an
+    # agent whose set another agent holds too costs one lookup.
+    ordered: dict[frozenset[str], tuple[str, ...]] = {}
+    eligible: dict[str, tuple[str, ...]] = {}
+    for a in instance.agents:
+        cats = ordered.get(a.eligible)
+        if cats is None:
+            cats = ordered[a.eligible] = tuple(c for c in cat_ids if c in a.eligible)
+        eligible[a.id] = cats
+    return _Ranking(order, dict(zip(by_precedence, range(len(by_precedence)))), eligible)
 
 
 def _day_graph(
@@ -306,7 +315,7 @@ def _run_days(instance: Instance, ranking: _Ranking, pool: list[str], remaining:
     """
     availability = {a.id: a.availability for a in instance.agents}
     for day in range(1, instance.num_days + 1):
-        candidates = tuple(a for a in pool if availability[a][day - 1])
+        candidates = tuple([a for a in pool if availability[a][day - 1]])
         graph = _day_graph(instance, day, candidates, remaining, ranking)
         matched = max_weight_capped_bmatching(graph)
         yield DayTrace(graph=graph, matched=matched)

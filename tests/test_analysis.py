@@ -31,6 +31,17 @@ from helpers import online_ratio, random_instance, tight_general, tight_model1, 
 from oracles import best_utility, charging_by_target_lists, deviation_outcomes_by_rerun, injection_by_recursion, iter_allocations
 
 
+# Allocations on tight_model1 that name what the instance lacks, each with
+# the entry a check must name.
+MISPLACED = [
+    (Allocation({"a2": None, "a1": ("c1", 1), "zz": ("c2", 1)}), "allocation names unknown agent 'zz'"),
+    (Allocation({"a2": None, "a1": ("zz", 1)}), "agent 'a1' matched under unknown category 'zz'"),
+    (Allocation({"a2": None, "a1": ("c1", 9)}), "agent 'a1' matched on day 9, outside 1..2"),
+    (Allocation({"a2": None, "a1": ("c1", 0)}), "agent 'a1' matched on day 0, outside 1..2"),
+]
+MISPLACED_IDS = ["unknown-agent", "unknown-category", "day-past-horizon", "day-zero"]
+
+
 class TestRatioCheck:
     def test_tight_model1_is_one_plus_discount(self):
         inst = tight_model1(discount=Fraction(19, 20))
@@ -172,6 +183,22 @@ class TestChargingReport:
         assert not report.bound_certified
         assert report.failure_day is not None
 
+
+    @pytest.mark.parametrize("alloc, reason", MISPLACED, ids=MISPLACED_IDS)
+    @pytest.mark.parametrize("side", ["online", "offline"])
+    def test_an_entry_the_instance_lacks_is_reported_not_raised(self, side, alloc, reason):
+        inst = tight_model1()
+        fine = solve_offline_model1(inst)
+        online_alloc, offline_alloc = (alloc, fine) if side == "online" else (fine, alloc)
+        report = build_charging_report(inst, online_alloc, offline_alloc)
+        assert not report.bound_certified
+        assert report.failure_reason == f"{side} {reason}"
+        assert report.failure_day is None and report.charges == ()
+
+    def test_the_first_misplaced_entry_is_named(self):
+        inst = tight_model1()
+        both = Allocation({"a2": ("c2", 7), "a1": ("zz", 1)})
+        assert build_charging_report(inst, both, both).failure_reason == "online agent 'a2' matched on day 7, outside 1..2"
 
     def test_a_day_matching_that_is_not_max_weight_is_rejected(self):
         # On day 2 the online side keeps "lo" while offline serves "hi",
@@ -699,6 +726,12 @@ class TestMetrics:
         assert series.days[1]["all"].reachable == 1  # a2 never had capacity left
         assert series.days[1]["all"].fraction_unserved == 0
 
+    @pytest.mark.parametrize("alloc, reason", MISPLACED, ids=MISPLACED_IDS)
+    def test_an_entry_the_instance_lacks_is_refused(self, alloc, reason):
+        with pytest.raises(ValueError) as raised:
+            compute_metrics(tight_model1(), alloc)
+        assert str(raised.value) == reason
+
     def test_reachable_matches_its_definition_on_every_allocation(self):
         # On day j an agent is reachable once some available day d <= j had
         # an eligible category with a daily quota above 0 and, if capped,
@@ -735,6 +768,12 @@ class TestMetrics:
 
 
 class TestWastedSlots:
+    @pytest.mark.parametrize("alloc, reason", MISPLACED, ids=MISPLACED_IDS)
+    def test_an_entry_the_instance_lacks_is_refused(self, alloc, reason):
+        with pytest.raises(ValueError) as raised:
+            wasted_slots(tight_model1(), alloc)
+        assert str(raised.value) == reason
+
     def test_lists_exactly_the_slots_that_can_be_added(self):
         rng = random.Random(7373)
         allocations = wasteful = 0

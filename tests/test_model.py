@@ -149,6 +149,17 @@ class TestValidateInstance:
             (Violation("discount", (), "discount must be an exact Fraction, got 0.5 (float)"),)
         )
 
+    @pytest.mark.parametrize("eligible", [{"c1"}, ["c1"], "c1"], ids=["set", "list", "str"])
+    def test_eligible_categories_must_be_a_frozenset(self, eligible):
+        # Solvers key on the eligible set, so it must be hashable as well
+        # as immutable.
+        inst = two_agent_instance()
+        agents = (Agent("a1", Fraction(1, 2), (True, True), eligible), inst.agents[1])
+        kind = type(eligible).__name__
+        assert refused(agents, inst.categories, 2, (1, 1), Fraction(1, 2)) == ValidationReport(
+            (Violation("eligibility", ("a1",), f"agent 'a1' eligible categories must be a frozenset, got {kind}"),)
+        )
+
     def test_a_number_too_long_to_print_is_described(self):
         assert refused((), (), 10**4300, (), Fraction(1, 2)) == ValidationReport(
             (Violation("structure", (), "daily_supply has length 0, expected <int too long to print>"),)

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from rationd import online
+from rationd.analysis import availability_deviation_report
+from rationd.data import GeneratorConfig, GroupSpec, SupplyModel, generate, load_fixture, read_instance, write_instance
 from rationd.model import Agent, Category, Instance, check_allocation, total_utility
 from rationd.offline import TieBreakOrder, solve_exact_oracle, solve_offline_model1
 from rationd.online import (
@@ -321,3 +324,72 @@ class TestRunOnline:
             full_weight = sum((day_weights(inst, day)[a] for a, _c in matched), Fraction(0))
             best_full, _ = best_day_matching(inst, graph)
             assert full_weight == best_full
+
+
+# The benchmark's probe instance (perfbench's PROBE_CONFIG) and a smaller
+# two-group one; read back from file, agents with equal eligible sets hold
+# one frozenset.
+SHARED_SET_CONFIGS = {
+    "probe": GeneratorConfig(
+        num_agents=100,
+        num_days=4,
+        num_hospitals=4,
+        availability_density=0.5,
+        supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
+        seed=7,
+    ),
+    "two-groups": GeneratorConfig(
+        num_agents=60,
+        num_days=5,
+        num_hospitals=6,
+        group_specs=(GroupSpec("young", 0.7, Fraction(9, 10)), GroupSpec("old", 0.3, Fraction(19, 20))),
+        discount=Fraction(4, 5),
+        supply_model=SupplyModel(supply_low=3, supply_high=8, quota_low=0, quota_high=3),
+        seed=11,
+    ),
+}
+
+
+class TestSharedEligibleSets:
+    """The ranking orders each distinct eligible set once; an instance
+    whose agents share set objects must run exactly like one whose agents
+    each hold their own."""
+
+    @pytest.fixture(params=[*SHARED_SET_CONFIGS, "tight_model1", "tight_general"])
+    def as_read(self, request, tmp_path):
+        if request.param in SHARED_SET_CONFIGS:
+            path = str(tmp_path / "instance.json")
+            write_instance(generate(SHARED_SET_CONFIGS[request.param]), path)
+            inst = read_instance(path)
+            assert len({id(a.eligible) for a in inst.agents}) < len(inst.agents)
+            return inst
+        return load_fixture(request.param)
+
+    @staticmethod
+    def unshared(instance):
+        """``instance`` with a new frozenset per agent (``frozenset(s)`` of
+        a frozenset returns ``s`` itself)."""
+        agents = tuple(replace(a, eligible=frozenset(list(a.eligible))) for a in instance.agents)
+        copy = replace(instance, agents=agents)
+        assert len({id(a.eligible) for a in copy.agents}) == len(copy.agents)
+        return copy
+
+    @pytest.mark.parametrize("tie_break", [None, "adversarial"])
+    def test_shared_and_unshared_sets_run_alike(self, as_read, tie_break):
+        copy = self.unshared(as_read)
+        assert online._ranking(as_read, tie_break) == online._ranking(copy, tie_break)
+        assert run_online_with_trace(as_read, tie_break=tie_break) == run_online_with_trace(copy, tie_break=tie_break)
+        for agent in as_read.agents:
+            assert availability_deviation_report(as_read, agent.id, tie_break=tie_break) == availability_deviation_report(
+                copy, agent.id, tie_break=tie_break
+            )
+
+    def test_equal_sets_share_one_ordered_tuple(self, as_read):
+        for inst in (as_read, self.unshared(as_read)):
+            eligible = online._ranking(inst, None).eligible
+            by_set: dict[frozenset[str], tuple[str, ...]] = {}
+            for agent in inst.agents:
+                assert by_set.setdefault(agent.eligible, eligible[agent.id]) is eligible[agent.id]
+            cat_ids = [c.id for c in inst.categories]
+            for cats in by_set.values():
+                assert list(cats) == [c for c in cat_ids if c in cats]
