@@ -28,9 +28,9 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .model import Allocation, Instance, TieBreak, UtilityScale, overall_quotas, total_utility, utility_scale
+from .model import Allocation, Instance, TieBreak, UtilityScale, first_misplaced, overall_quotas, total_utility, units_used, utility_scale
 from .offline import ORACLE_BUDGET, solve_exact_oracle, solve_offline_model1
 from . import online
 from .online import DayGraph
@@ -88,20 +88,6 @@ def ratio_check(instance: Instance, online_alloc: Allocation, offline_alloc: All
     :func:`model2_bound` if some category has an overall quota, else :func:`model1_bound`."""
     bound = model2_bound(instance) if overall_quotas(instance) else model1_bound(instance)
     return RatioCheck(total_utility(instance, offline_alloc), total_utility(instance, online_alloc), bound)
-
-
-def _misplaced(instance: Instance, alloc: Allocation, agents: Container[str], categories: Container[str]) -> str | None:
-    """What the first matched entry of ``alloc`` names that ``instance``
-    lacks: an agent not in ``agents``, a category not in ``categories`` or a
-    day outside 1..num_days. None when every entry fits."""
-    for agent_id, cat_id, day in alloc.matched():
-        if agent_id not in agents:
-            return f"allocation names unknown agent {agent_id!r}"
-        if cat_id not in categories:
-            return f"agent {agent_id!r} matched under unknown category {cat_id!r}"
-        if not 1 <= day <= instance.num_days:
-            return f"agent {agent_id!r} matched on day {day}, outside 1..{instance.num_days}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +188,8 @@ def build_charging_report(
     capped = overall_quotas(instance, model2)
     scale = utility_scale(instance)
     key = scale.keys
-    cat_ids = {c.id for c in instance.categories}
     for side, alloc in (("online", online_alloc), ("offline", offline_alloc)):
-        reason = _misplaced(instance, alloc, key, cat_ids)
-        if reason is not None:
+        if (reason := first_misplaced(instance, alloc)) is not None:
             return ChargingReport((), failure_reason=f"{side} {reason}")
 
     members: dict[tuple, list[str]] = defaultdict(list)
@@ -445,23 +429,20 @@ def compute_metrics(instance: Instance, alloc: Allocation) -> MetricsSeries:
     """
     labels = sorted({a.group for a in instance.agents if a.group is not None})
     check_group_labels(labels)
-    reason = _misplaced(instance, alloc, instance.agent_map(), {c.id for c in instance.categories})
-    if reason is not None:
+    if (reason := first_misplaced(instance, alloc)) is not None:
         raise ValueError(reason)
 
     # The categories open on each day: a daily quota above 0 and, if capped,
     # overall quota left under this allocation at the start of the day.
     left = overall_quotas(instance)
-    used_on = [dict.fromkeys((c.id for c in instance.categories), 0) for _ in range(instance.num_days)]
-    for _a, cat_id, day in alloc.matched():
-        used_on[day - 1][cat_id] += 1
+    per_slot = units_used(alloc.matched())[1]
     open_on: list[frozenset[str]] = []
-    for day, used in enumerate(used_on):
+    for day in range(1, instance.num_days + 1):
         open_on.append(
-            frozenset(c.id for c in instance.categories if c.daily_quota[day] > 0 and (c.id not in left or left[c.id] > 0))
+            frozenset(c.id for c in instance.categories if c.daily_quota[day - 1] > 0 and (c.id not in left or left[c.id] > 0))
         )
         for cat_id in left:
-            left[cat_id] -= used[cat_id]
+            left[cat_id] -= per_slot.get((cat_id, day), 0)
 
     # Per row and day: agents first reachable, agents matched, and their
     # utility times scale.scale.
@@ -578,16 +559,9 @@ def wasted_slots(instance: Instance, alloc: Allocation, model2: bool | None = No
     instance lacks.
     """
     capped = overall_quotas(instance, model2)
-    reason = _misplaced(instance, alloc, instance.agent_map(), {c.id for c in instance.categories})
-    if reason is not None:
+    if (reason := first_misplaced(instance, alloc)) is not None:
         raise ValueError(reason)
-    used_day: dict[int, int] = defaultdict(int)
-    used_cat_day: dict[tuple[str, int], int] = defaultdict(int)
-    used_cat: dict[str, int] = defaultdict(int)
-    for _a, cat_id, day in alloc.matched():
-        used_day[day] += 1
-        used_cat_day[(cat_id, day)] += 1
-        used_cat[cat_id] += 1
+    used_day, used_cat_day, used_cat = units_used(alloc.matched())
 
     additions: list[tuple[str, str, int]] = []
     for agent in instance.agents:
@@ -596,14 +570,14 @@ def wasted_slots(instance: Instance, alloc: Allocation, model2: bool | None = No
         for day in range(1, instance.num_days + 1):
             if not agent.availability[day - 1]:
                 continue
-            if used_day[day] >= instance.daily_supply[day - 1]:
+            if used_day.get(day, 0) >= instance.daily_supply[day - 1]:
                 continue
             for category in instance.categories:
                 if category.id not in agent.eligible:
                     continue
-                if used_cat_day[(category.id, day)] >= category.daily_quota[day - 1]:
+                if used_cat_day.get((category.id, day), 0) >= category.daily_quota[day - 1]:
                     continue
-                if category.id in capped and used_cat[category.id] >= capped[category.id]:
+                if category.id in capped and used_cat.get(category.id, 0) >= capped[category.id]:
                     continue
                 additions.append((agent.id, category.id, day))
     return tuple(additions)

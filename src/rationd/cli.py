@@ -36,7 +36,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import analysis, data
-from .model import Allocation, Instance, MalformedInstance, TieBreak, TieBreakOrder, check_allocation, overall_quotas, precedence, total_utility
+from .model import Allocation, Instance, MalformedInstance, TieBreak, TieBreakOrder, check_allocation, overall_quotas, precedence, total_utility, units_used
 from .offline import ORACLE_BUDGET, OracleBudgetExceeded, solve_exact_oracle, solve_offline_model1, solve_offline_tiebroken
 from .online import run_online, run_online_with_trace
 
@@ -95,14 +95,12 @@ def _label(algorithm: str, model2: bool) -> str:
 def _print_summary(instance: Instance, digest: str, alloc: Allocation, solver: str, seconds: float, exact: bool) -> None:
     """One run's summary; ``digest`` is :func:`_digest` of ``instance``,
     computed once per command."""
-    per_day = [0] * instance.num_days
-    for _a, _c, day in alloc.matched():
-        per_day[day - 1] += 1
+    per_day = units_used(alloc.matched())[0]
     print(f"instance  : {digest}")
     print(f"solver    : {solver}")
     print(f"matched   : {alloc.matched_count()} / {len(instance.agents)}")
     print(f"utility   : {_value(total_utility(instance, alloc), exact)}")
-    print(f"per-day   : {' '.join(str(n) for n in per_day)}")
+    print(f"per-day   : {' '.join(str(per_day.get(day, 0)) for day in range(1, instance.num_days + 1))}")
     print(f"wall-clock: {seconds:.3f} s")
 
 

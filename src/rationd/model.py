@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional
 
 # (category id, 1-based day) for matched agents, None for unmatched.
 Slot = Optional[tuple[str, int]]
@@ -325,6 +325,37 @@ def utility_of(priority: Fraction, day_index: int, discount: Fraction) -> Fracti
     return priority * discount ** (day_index - 1)
 
 
+def _misplacement(num_days: int, agents: Container[str], categories: Container[str], agent_id: str, cat_id: str, day: int) -> Violation | None:
+    """The one rule for what a matched entry may name: the violation it makes, or None when it fits."""
+    if agent_id not in agents:
+        return Violation("unknown_agent", (agent_id,), f"allocation names unknown agent {agent_id!r}")
+    if cat_id not in categories:
+        return Violation("unknown_category", (agent_id, cat_id), f"agent {agent_id!r} matched under unknown category {cat_id!r}")
+    if not 1 <= day <= num_days:
+        return Violation("structure", (agent_id,), f"agent {agent_id!r} matched on day {day}, outside 1..{num_days}")
+    return None
+
+
+def first_misplaced(instance: Instance, alloc: Allocation) -> str | None:
+    """What the first matched entry of ``alloc`` names that ``instance`` lacks,
+    worded as :func:`check_allocation` words it; None when every entry fits."""
+    agents, categories = {a.id for a in instance.agents}, {c.id for c in instance.categories}
+    for entry in alloc.matched():
+        if (violation := _misplacement(instance.num_days, agents, categories, *entry)) is not None:
+            return violation.message
+    return None
+
+
+def units_used(entries: Iterable[tuple[str, str, int]]) -> tuple[dict[int, int], dict[tuple[str, int], int], dict[str, int]]:
+    """The matched (agent, category, day) ``entries`` counted per day, per slot and per category."""
+    per_day, per_slot, per_category = {}, {}, {}
+    for _agent_id, cat_id, day in entries:
+        per_day[day] = per_day.get(day, 0) + 1
+        per_slot[cat_id, day] = per_slot.get((cat_id, day), 0) + 1
+        per_category[cat_id] = per_category.get(cat_id, 0) + 1
+    return per_day, per_slot, per_category
+
+
 def check_allocation(instance: Instance, alloc: Allocation, model2: bool | None = None) -> ValidationReport:
     """Verify an allocation against supply, quota, availability and eligibility.
 
@@ -338,28 +369,18 @@ def check_allocation(instance: Instance, alloc: Allocation, model2: bool | None 
     agents = instance.agent_map()
     categories = instance.category_map()
 
-    used_per_day: dict[int, int] = {}
-    used_per_cat_day: dict[tuple[str, int], int] = {}
-    used_per_cat: dict[str, int] = {}
-
+    placed: list[tuple[str, str, int]] = []
     for agent_id, cat_id, day in alloc.matched():
-        agent = agents.get(agent_id)
-        if agent is None:
-            bad.append(Violation("unknown_agent", (agent_id,), f"allocation names unknown agent {agent_id!r}"))
+        if (misplaced := _misplacement(instance.num_days, agents, categories, agent_id, cat_id, day)) is not None:
+            bad.append(misplaced)
             continue
-        if cat_id not in categories:
-            bad.append(Violation("unknown_category", (agent_id, cat_id), f"agent {agent_id!r} matched under unknown category {cat_id!r}"))
-            continue
-        if not (1 <= day <= instance.num_days):
-            bad.append(Violation("structure", (agent_id,), f"agent {agent_id!r} matched on out-of-range day {day}"))
-            continue
+        agent = agents[agent_id]
         if not agent.availability[day - 1]:
             bad.append(Violation("availability", (agent_id,), f"agent {agent_id!r} matched on day {day} but is unavailable then"))
         if cat_id not in agent.eligible:
             bad.append(Violation("eligibility", (agent_id, cat_id), f"agent {agent_id!r} is not eligible for category {cat_id!r}"))
-        used_per_day[day] = used_per_day.get(day, 0) + 1
-        used_per_cat_day[(cat_id, day)] = used_per_cat_day.get((cat_id, day), 0) + 1
-        used_per_cat[cat_id] = used_per_cat.get(cat_id, 0) + 1
+        placed.append((agent_id, cat_id, day))
+    used_per_day, used_per_cat_day, used_per_cat = units_used(placed)
 
     for day, used in sorted(used_per_day.items()):
         if used > instance.daily_supply[day - 1]:
@@ -397,7 +418,14 @@ def total_utility(instance: Instance, alloc: Allocation) -> Fraction:
     """Sum of discounted priorities over matched agents.
 
     The allocation is assumed feasible; run :func:`check_allocation` first
-    when in doubt. Raises ValueError for a day outside ``1..num_days``.
+    when in doubt. Raises ValueError naming the first entry whose agent or
+    day the instance lacks; the category is not read.
     """
     scale = utility_scale(instance)
-    return Fraction(sum(scale.utility(agent_id, day) for agent_id, _cat, day in alloc.matched()), scale.scale)
+    try:
+        total = sum(scale.utility(agent_id, day) for agent_id, _cat, day in alloc.matched())
+    except (KeyError, ValueError):
+        # Utility does not read the category, so each entry's own passes.
+        found = (_misplacement(instance.num_days, scale.keys, (c,), a, c, d) for a, c, d in alloc.matched())
+        raise ValueError(next(violation.message for violation in found if violation is not None)) from None
+    return Fraction(total, scale.scale)

@@ -40,6 +40,30 @@ MISPLACED = [
     (Allocation({"a2": None, "a1": ("c1", 0)}), "agent 'a1' matched on day 0, outside 1..2"),
 ]
 MISPLACED_IDS = ["unknown-agent", "unknown-category", "day-past-horizon", "day-zero"]
+MISPLACED_KINDS = ["unknown_agent", "unknown_category", "structure", "structure"]
+# Utility does not depend on the category, so total_utility refuses the others.
+UNVALUED = [pytest.param(*case, id=name) for case, name in zip(MISPLACED, MISPLACED_IDS) if name != "unknown-category"]
+
+
+class TestMisplacedEntries:
+    @pytest.mark.parametrize("alloc, reason, kind", [(*case, kind) for case, kind in zip(MISPLACED, MISPLACED_KINDS)], ids=MISPLACED_IDS)
+    def test_check_allocation_names_the_entry(self, alloc, reason, kind):
+        report = check_allocation(tight_model1(), alloc)
+        assert [(v.kind, v.message) for v in report.violations] == [(kind, reason)]
+
+    @pytest.mark.parametrize("alloc, reason", UNVALUED)
+    def test_total_utility_refuses_an_agent_or_day_the_instance_lacks(self, alloc, reason):
+        with pytest.raises(ValueError) as raised:
+            total_utility(tight_model1(), alloc)
+        assert str(raised.value) == reason
+
+    def test_total_utility_does_not_read_the_category(self):
+        inst = tight_model1()
+        assert total_utility(inst, Allocation({"a2": None, "a1": ("zz", 1)})) == Fraction(1, 2)
+        # The unknown category comes first, but only the day stops the sum.
+        with pytest.raises(ValueError) as raised:
+            total_utility(inst, Allocation({"a2": ("zz", 1), "a1": ("c1", 9)}))
+        assert str(raised.value) == "agent 'a1' matched on day 9, outside 1..2"
 
 
 class TestRatioCheck:
@@ -94,6 +118,16 @@ class TestRatioCheck:
         assert check.ratio == check.bound
         assert check.opt == check.bound * check.alg
         assert check.holds
+
+    @pytest.mark.parametrize("alloc, reason", UNVALUED)
+    @pytest.mark.parametrize("side", ["online", "offline"])
+    def test_an_agent_or_day_the_instance_lacks_is_refused(self, side, alloc, reason):
+        inst = tight_model1()
+        fine = solve_offline_model1(inst)
+        online_alloc, offline_alloc = (alloc, fine) if side == "online" else (fine, alloc)
+        with pytest.raises(ValueError) as raised:
+            ratio_check(inst, online_alloc, offline_alloc)
+        assert str(raised.value) == reason
 
     def test_a_feasible_pair_past_the_bound_does_not_hold(self):
         inst = tight_model1()

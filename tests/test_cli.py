@@ -59,11 +59,20 @@ class TestGenerate:
         assert run(["generate", "--config", config, "--out", str(override), "--seed", "123"]) == 0
         assert base.read_bytes() != override.read_bytes()
 
-    def test_invalid_config_fails(self, tmp_path, capsys):
-        config = self.config_file(tmp_path, availability_density=2.0)
+    @pytest.mark.parametrize(
+        "override, reason",
+        [
+            ({"availability_density": 2.0}, "availability_density must lie in [0, 1]"),
+            ({"cluster_radius_links": -1}, "cluster_radius_links must be >= 0"),
+            ({"discount": "1.5"}, "discount must lie strictly in (0, 1)"),
+        ],
+        ids=["density", "negative-radius", "discount"],
+    )
+    def test_invalid_config_fails(self, tmp_path, capsys, override, reason):
+        config = self.config_file(tmp_path, **override)
         code = run(["generate", "--config", config, "--out", str(tmp_path / "x.json")])
         assert code == cli.EXIT_INVALID
-        assert "invalid generator config" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"invalid generator config: {reason}\n"
 
     def test_duplicate_group_label_is_refused(self, tmp_path, capsys):
         # Two specs under one label would leave every such agent the last
@@ -196,6 +205,16 @@ class TestSolve:
     def test_solver_label_follows_the_model(self, capsys, instance, algorithm, label):
         assert run(["solve", instance, "--algorithm", algorithm]) == 0
         assert f"solver    : {label}\n" in capsys.readouterr().out
+
+    def test_infeasible_solver_output_is_neither_printed_nor_written(self, tmp_path, monkeypatch, capsys):
+        # Both agents on day 1, whose supply is 1.
+        monkeypatch.setattr(cli, "run_online", lambda instance, **kwargs: Allocation({"a2": ("c2", 1), "a1": ("c1", 1)}))
+        out = tmp_path / "alloc.json"
+        assert run(["solve", TIGHT_M1, "--algorithm", "online", "--out", str(out)]) == cli.EXIT_CERTIFICATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver produced an infeasible allocation (bug)\n"
+        assert not out.exists()
 
     def test_oracle_budget_exit(self, tmp_path, capsys):
         code = run(["solve", TIGHT_GEN, "--algorithm", "oracle", "--budget", "1"])
@@ -466,14 +485,29 @@ class TestVerify:
         assert "[PASS] charge certificate" in out
         assert "all verification steps passed" in out
 
-    def test_corrupted_allocation_fails_feasibility(self, tmp_path, capsys):
-        bogus = Allocation({"a1": ("c1", 2), "a2": ("c1", 2), "a3": ("c2", 2)})
+    @pytest.mark.parametrize(
+        "bogus, line",
+        [
+            (
+                Allocation({"a1": ("c1", 2), "a2": ("c1", 2), "a3": ("c2", 2)}),
+                "[FAIL] supplied allocation feasible (agent 'a3' matched on day 2 but is unavailable then; "
+                "day 2 serves 3 agents but supply is 2; category 'c1' serves 2 agents on day 2 but its quota is 1)\n",
+            ),
+            (
+                Allocation({"a1": ("zz", 1), "a2": ("c1", 9), "ghost": ("c2", 1), "a3": None}),
+                "[FAIL] supplied allocation feasible (agent 'a1' matched under unknown category 'zz'; "
+                "agent 'a2' matched on day 9, outside 1..2; allocation names unknown agent 'ghost')\n",
+            ),
+        ],
+        ids=["infeasible", "misplaced"],
+    )
+    def test_corrupted_allocation_fails_feasibility(self, tmp_path, capsys, bogus, line):
         path = tmp_path / "bogus_alloc.json"
         write_allocation(bogus, str(path))
         code = run(["verify", TIGHT_GEN, "--allocation", str(path)])
         assert code == cli.EXIT_CERTIFICATE
         out = capsys.readouterr().out
-        assert "[FAIL] supplied allocation feasible" in out
+        assert line in out
 
     def test_budget_skips_both_steps_that_need_the_optimum(self, capsys):
         assert run(["verify", TIGHT_GEN, "--budget", "1"]) == 0

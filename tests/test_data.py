@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -312,6 +313,12 @@ class TestGenerator:
             ).validate()
         with pytest.raises(ValueError):
             self.config(supply_model=SupplyModel(supply_low=5, supply_high=2)).validate()
+        with pytest.raises(ValueError, match="cluster_radius_links must be >= 0"):
+            self.config(cluster_radius_links=-1).validate()
+        with pytest.raises(ValueError, match="at least one group is required"):
+            self.config(group_specs=()).validate()
+        with pytest.raises(ValueError, match=re.escape("discount must lie strictly in (0, 1)")):
+            self.config(discount=Fraction(3, 2)).validate()
 
     @pytest.mark.parametrize(
         "weights, reason",

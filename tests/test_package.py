@@ -84,3 +84,12 @@ def test_only_analysis_picks_the_worst_case_bound():
     for module in LAYERS:
         if module != "analysis":
             assert not {"model1_bound", "model2_bound"} & names_read(module), module
+
+
+def test_only_model_words_a_misplaced_entry():
+    # What an allocation entry may name is decided in model; the other
+    # modules ask model.first_misplaced.
+    phrases = ("names unknown agent", "under unknown category", ", outside 1..")
+    for module in LAYERS:
+        text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+        assert all((phrase in text) == (module == "model") for phrase in phrases), module
