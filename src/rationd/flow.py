@@ -57,17 +57,23 @@ def _is_int(value: object) -> bool:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """A directed network with integer capacities and integer costs.
+    """A directed network with integer capacities and integer costs, held as
+    four columns: arc ``i`` runs from ``tails[i]`` to ``heads[i]`` with
+    capacity ``capacities[i]`` at ``costs[i]`` per unit.
 
-    Construction validates shape: integer node ids in range, no self-loops,
-    no arc entering the source or leaving the sink, non-negative integer
+    Construction stores each column as a tuple and validates shape: columns
+    of equal length, integer node ids in range, no self-loops, no arc
+    entering the source or leaving the sink, non-negative integer
     capacities and integer costs. Parallel arcs are allowed.
     """
 
     num_nodes: int
     source: int
     sink: int
-    arcs: tuple[Arc, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    capacities: tuple[int, ...]
+    costs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n, source, sink = self.num_nodes, self.source, self.sink
@@ -79,13 +85,18 @@ class FlowNetwork:
             raise ValueError("source/sink out of range")
         if source == sink:
             raise ValueError("source and sink must differ")
-        if not self.arcs:
+        columns = tuple(map(tuple, (self.tails, self.heads, self.capacities, self.costs)))
+        tails, heads, caps, costs = columns
+        for name, column in zip(("tails", "heads", "capacities", "costs"), columns):
+            object.__setattr__(self, name, column)
+        if not len(tails) == len(heads) == len(caps) == len(costs):
+            raise ValueError("arc columns must have equal lengths")
+        if not tails:
             return
         # A few passes over the columns accept every well-formed network;
         # only a network that fails one is walked arc by arc, to name the
         # first bad arc (or to accept int subclasses, which the type pass
         # does not).
-        tails, heads, caps, costs = zip(*self.arcs)
         nodes = tails + heads
         if (
             {*map(type, nodes), *map(type, caps), *map(type, costs)} == {int}
@@ -97,21 +108,26 @@ class FlowNetwork:
             and min(caps) >= 0
         ):
             return
-        for i, arc in enumerate(self.arcs):
-            if not (_is_int(arc.tail) and _is_int(arc.head)):
+        for i, (tail, head, capacity, cost) in enumerate(zip(*columns)):
+            if not (_is_int(tail) and _is_int(head)):
                 raise ValueError(f"arc {i} node ids must be integers")
-            if not (0 <= arc.tail < n and 0 <= arc.head < n):
+            if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc {i} references a node out of range")
-            if arc.tail == arc.head:
+            if tail == head:
                 raise ValueError(f"arc {i} is a self-loop")
-            if arc.head == source:
+            if head == source:
                 raise ValueError(f"arc {i} enters the source")
-            if arc.tail == sink:
+            if tail == sink:
                 raise ValueError(f"arc {i} leaves the sink")
-            if not _is_int(arc.capacity) or arc.capacity < 0:
+            if not _is_int(capacity) or capacity < 0:
                 raise ValueError(f"arc {i} capacity must be a non-negative integer")
-            if not _is_int(arc.cost):
+            if not _is_int(cost):
                 raise ValueError(f"arc {i} cost must be an integer")
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs, one :class:`Arc` per column position, built on each read."""
+        return tuple(map(Arc, self.tails, self.heads, self.capacities, self.costs))
 
 
 @dataclass(frozen=True)
@@ -169,9 +185,9 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
     with a reachable negative-cost cycle.
     """
     n = network.num_nodes
-    m = len(network.arcs)
     source, sink = network.source, network.sink
-    tails, heads, caps, costs = zip(*network.arcs) if m else ((),) * 4
+    tails, heads, caps, costs = network.tails, network.heads, network.capacities, network.costs
+    m = len(tails)
     if min(costs, default=0) >= 0:
         # Without a negative arc no path is profitable; no search runs.
         return FlowResult((0,) * m, 0, 0, 0)
@@ -180,17 +196,15 @@ def solve_profitable_flow(network: FlowNetwork) -> FlowResult:
     head = [0] * (2 * m)
     head[0::2] = heads
     head[1::2] = tails
-    tail = [0] * (2 * m)
-    tail[0::2] = tails
-    tail[1::2] = heads
     cap = [0] * (2 * m)
     cap[0::2] = caps
     cost = [0] * (2 * m)
     cost[0::2] = costs
     cost[1::2] = [-c for c in costs]
     adj: list[list[int]] = [[] for _ in range(n)]
-    for e, u in enumerate(tail):
+    for e, u, v in zip(range(0, 2 * m, 2), tails, heads):
         adj[u].append(e)
+        adj[v].append(e + 1)
 
     # The first round's search also sets the potentials: exact distances
     # from the source make every residual arc's reduced cost non-negative

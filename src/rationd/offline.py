@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .flow import Arc, FlowNetwork, solve_profitable_flow
+from .flow import FlowNetwork, solve_profitable_flow
 from .model import Allocation, Instance, Slot, TieBreak, TieBreakOrder, overall_quotas, precedence, utility_scale
 
 # Not called here. ``perfbench/spans.py`` wraps this name on this module to
@@ -81,14 +81,16 @@ def build_model1_network(
     """Build the day/slot/hub/agent network whose min-cost profitable flow
     is an optimal allocation.
 
-    Its arcs: ``source -> day`` with the day's supply; ``day -> slot(c, d)``
-    for each slot whose quota (and day supply) is above 0, with that quota;
-    ``slot(c, d) -> hub(E, d)`` for each category ``c`` of ``E``; ``hub(E,
-    d) -> agent`` (capacity 1, cost ``-utility``, as
-    :class:`~rationd.model.UtilityScale` gives it) for each agent available
-    on day ``d`` whose open eligible categories are ``E``; ``agent -> sink``
-    (capacity 1). :meth:`ReductionMap.allocation` reads an allocation off a
-    solved flow.
+    The network is written straight into its four arc columns (tails,
+    heads, capacities, costs), in this order: ``source -> day`` with the
+    day's supply; ``day -> slot(c, d)`` for each slot whose quota (and day
+    supply) is above 0, with that quota; then, hub by hub, ``slot(c, d) ->
+    hub(E, d)`` for each category ``c`` of ``E`` and ``hub(E, d) -> agent``
+    (capacity 1, cost ``-utility``, as :class:`~rationd.model.UtilityScale`
+    gives it) for each agent available on day ``d`` whose open eligible
+    categories are ``E``; last ``agent -> sink`` (capacity 1). Nodes are
+    numbered source, days, slots, agents (in instance order), hubs, sink.
+    :meth:`ReductionMap.allocation` reads an allocation off a solved flow.
 
     With ``tie_break`` given, hub-to-agent arcs carry composite costs
     ``-(utility * B + bonus)``, where an agent's bonus is ``n - position``
@@ -104,6 +106,7 @@ def build_model1_network(
     about ``2 * log2(n)`` bits wider than the utilities.
     """
     days = range(1, instance.num_days + 1)
+    agents = instance.agents
 
     node = 0
     source = node
@@ -124,41 +127,55 @@ def build_model1_network(
             if quota > 0:
                 open_slots[day][category.id] = (node, quota)
                 node += 1
-    agent_nodes = {}
-    for agent in instance.agents:
-        agent_nodes[agent.id] = node
-        node += 1
+    first_agent = node
+    node += len(agents)
+    agent_nodes = {agent.id: first_agent + position for position, agent in enumerate(agents)}
 
-    # Members of each hub, keyed by (E, day), in day order and then in order
-    # of the hub's first agent.
-    hub_members: dict[tuple[frozenset[str], int], list[str]] = {}
+    # Members of each hub (agent positions), keyed by (E, day), in day order
+    # and then in order of the hub's first agent. Each distinct eligible set
+    # meets the day's open categories once; agents with equal sets share the
+    # member list it leads to (a throwaway one when the meet is empty).
+    hub_members: dict[tuple[frozenset[str], int], list[int]] = {}
     for day in days:
         open_here = frozenset(open_slots[day])
         if not open_here:
             continue
-        for agent in instance.agents:
+        members_of: dict[frozenset[str], list[int]] = {}
+        for position, agent in enumerate(agents):
             if agent.availability[day - 1]:
-                shared = agent.eligible & open_here
-                if shared:
-                    hub_members.setdefault((shared, day), []).append(agent.id)
+                members = members_of.get(agent.eligible)
+                if members is None:
+                    shared = agent.eligible & open_here
+                    members = members_of[agent.eligible] = hub_members.setdefault((shared, day), []) if shared else []
+                members.append(position)
 
     scale = utility_scale(instance)
     if tie_break is not None:
-        n = len(instance.agents)
+        n = len(agents)
         base = n * (n + 1) // 2 + 1
         bonus = {agent_id: n - position for position, agent_id in enumerate(precedence(instance, tie_break))}
     else:
         base = 1
         bonus = {}
 
-    arcs: list[Arc] = []
+    # The arc columns, in the order the docstring gives.
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int] = []
+    costs: list[int] = []
     for day in days:
         supply = instance.daily_supply[day - 1]
         if supply > 0:
-            arcs.append(Arc(source, day_nodes[day], supply, 0))
+            tails.append(source)
+            heads.append(day_nodes[day])
+            caps.append(supply)
+            costs.append(0)
     for day in days:
         for slot, quota in open_slots[day].values():
-            arcs.append(Arc(day_nodes[day], slot, quota, 0))
+            tails.append(day_nodes[day])
+            heads.append(slot)
+            caps.append(quota)
+            costs.append(0)
 
     hubs = []
     for (shared, day), members in hub_members.items():
@@ -167,22 +184,30 @@ def build_model1_network(
         feeds = []
         for category_id, (slot, quota) in open_slots[day].items():
             if category_id in shared:
-                feeds.append((len(arcs), category_id))
-                arcs.append(Arc(slot, hub_node, quota, 0))
+                feeds.append((len(tails), category_id))
+                tails.append(slot)
+                heads.append(hub_node)
+                caps.append(quota)
+                costs.append(0)
         member_arcs = []
         level = scale.levels[day - 1] * base
-        for agent_id in members:
-            cost = -(scale.keys[agent_id] * level + bonus.get(agent_id, 0))
-            member_arcs.append((len(arcs), agent_id))
-            arcs.append(Arc(hub_node, agent_nodes[agent_id], 1, cost))
+        for position in members:
+            agent_id = agents[position].id
+            member_arcs.append((len(tails), agent_id))
+            tails.append(hub_node)
+            heads.append(first_agent + position)
+            caps.append(1)
+            costs.append(-(scale.keys[agent_id] * level + bonus.get(agent_id, 0)))
         hubs.append(Hub(day, tuple(feeds), tuple(member_arcs)))
 
     sink = node
     node += 1
-    for agent in instance.agents:
-        arcs.append(Arc(agent_nodes[agent.id], sink, 1, 0))
+    tails += range(first_agent, first_agent + len(agents))
+    heads += [sink] * len(agents)
+    caps += [1] * len(agents)
+    costs += [0] * len(agents)
 
-    network = FlowNetwork(node, source, sink, tuple(arcs))
+    network = FlowNetwork(node, source, sink, tails, heads, caps, costs)
     return network, ReductionMap(agent_nodes=agent_nodes, hubs=tuple(hubs))
 
 
@@ -198,7 +223,7 @@ def solve_offline_model1(instance: Instance) -> Allocation:
     network, rmap = build_model1_network(instance)
     result = solve_profitable_flow(network)
     log.debug(
-        "offline flow: %d nodes, %d arcs, %d matched", network.num_nodes, len(network.arcs), result.total_flow
+        "offline flow: %d nodes, %d arcs, %d matched", network.num_nodes, len(network.tails), result.total_flow
     )
     return rmap.allocation(result.arc_flows)
 

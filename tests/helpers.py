@@ -5,10 +5,31 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 from rationd.analysis import offline_optimum, ratio_check
+from rationd.data import GeneratorConfig, SupplyModel
+from rationd.flow import Arc, FlowNetwork
 from rationd.model import Agent, Category, Instance, TieBreak
 from rationd.online import run_online
+
+# The benchmark's probe instance (PROBE_CONFIG in perfbench/workloads.py);
+# its held-out generator seed is 8.
+PROBE_CONFIG = GeneratorConfig(
+    num_agents=100,
+    num_days=4,
+    num_hospitals=4,
+    availability_density=0.5,
+    supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
+    seed=7,
+)
+
+
+def arc_network(num_nodes: int, source: int, sink: int, arcs: Sequence[Arc]) -> FlowNetwork:
+    """The :class:`~rationd.flow.FlowNetwork` whose arc ``i`` is ``arcs[i]``,
+    its columns read off the arcs."""
+    tails, heads, capacities, costs = zip(*arcs) if arcs else ((),) * 4
+    return FlowNetwork(num_nodes, source, sink, tails, heads, capacities, costs)
 
 
 def tight_model1(discount: Fraction = Fraction(19, 20), priority: Fraction = Fraction(1, 2)) -> Instance:

@@ -20,6 +20,8 @@ from rationd.flow import Arc, FlowNetwork, solve_profitable_flow
 from rationd.model import Allocation, Instance
 from rationd.online import DayGraph, TieBreak, run_online
 
+from helpers import arc_network
+
 
 def iter_allocations(instance: Instance):
     """Yield every feasible assignment dict (agent -> (category, day) | None).
@@ -169,7 +171,7 @@ def flat_offline_allocation(instance: Instance, order: tuple[str, ...] | None = 
     arcs += [Arc(agent_node[agent.id], sink, 1, 0) for agent in instance.agents]
 
     num_nodes = 2 + instance.num_days + len(slot_node) + n
-    flows = solve_profitable_flow(FlowNetwork(num_nodes, source, sink, tuple(arcs))).arc_flows
+    flows = solve_profitable_flow(arc_network(num_nodes, source, sink, arcs)).arc_flows
     assignment: dict[str, tuple[str, int] | None] = {agent.id: None for agent in instance.agents}
     for arc, (agent_id, category_id, day) in assignment_arcs.items():
         if flows[arc]:

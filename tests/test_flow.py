@@ -4,17 +4,17 @@ import re
 
 import pytest
 
-from rationd.data import GeneratorConfig, SupplyModel, generate
-from rationd.flow import Arc, FlowNetwork, NegativeCycleError, solve_profitable_flow
+from rationd.data import generate
+from rationd.flow import Arc, FlowNetwork, FlowResult, NegativeCycleError, solve_profitable_flow
 from rationd.offline import TieBreakOrder, build_model1_network
 
-from helpers import tie_heavy_instance
+from helpers import PROBE_CONFIG, arc_network, tie_heavy_instance
 from oracles import min_cost_by_enumeration, unit_path_costs
 
 
 def twin_arc_network():
     # s -> v (cap 2, cost 0); v -> t twice (cap 1 at cost -3 and cap 1 at cost -1)
-    return FlowNetwork(3, 0, 2, (Arc(0, 1, 2, 0), Arc(1, 2, 1, -3), Arc(1, 2, 1, -1)))
+    return arc_network(3, 0, 2, (Arc(0, 1, 2, 0), Arc(1, 2, 1, -3), Arc(1, 2, 1, -1)))
 
 
 def test_unbounded_takes_both_profitable_arcs():
@@ -24,13 +24,13 @@ def test_unbounded_takes_both_profitable_arcs():
 
 
 def test_zero_profit_flow_is_not_pushed():
-    network = FlowNetwork(3, 0, 2, (Arc(0, 1, 5, 0), Arc(1, 2, 5, 0)))
+    network = arc_network(3, 0, 2, (Arc(0, 1, 5, 0), Arc(1, 2, 5, 0)))
     result = solve_profitable_flow(network)
     assert result.total_flow == 0 and result.total_cost == 0
 
 
 def test_negative_cycle_rejected():
-    network = FlowNetwork(
+    network = arc_network(
         4, 0, 3, (Arc(0, 1, 1, 0), Arc(1, 2, 1, -2), Arc(2, 1, 1, 1), Arc(2, 3, 1, 0))
     )
     with pytest.raises(NegativeCycleError):
@@ -58,7 +58,7 @@ MALFORMED_NETWORKS = [
 def test_construction_rejects_malformed_networks():
     for args, message in MALFORMED_NETWORKS:
         with pytest.raises(ValueError, match=re.escape(message)):
-            FlowNetwork(*args)
+            arc_network(*args)
 
 
 def test_construction_rejects_node_ids_that_are_not_ints():
@@ -73,15 +73,43 @@ def test_construction_rejects_node_ids_that_are_not_ints():
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            FlowNetwork(*args)
+            arc_network(*args)
 
 
 def test_construction_accepts_int_subclasses():
     class Units(int):
         pass
 
-    network = FlowNetwork(3, 0, 2, (Arc(0, Units(1), Units(2), 0), Arc(Units(1), 2, 1, Units(-3))))
+    network = arc_network(3, 0, 2, (Arc(0, Units(1), Units(2), 0), Arc(Units(1), 2, 1, Units(-3))))
     assert solve_profitable_flow(network).total_cost == -3
+
+
+def test_construction_rejects_columns_of_unequal_length():
+    cases = [
+        (3, 0, 2, (0, 1), (1, 2), (1, 1), (0,)),
+        (3, 0, 2, (0,), (), (), ()),
+        (3, 0, 2, (), (), (), (-1,)),
+    ]
+    for args in cases:
+        with pytest.raises(ValueError, match="arc columns must have equal lengths"):
+            FlowNetwork(*args)
+
+
+def test_empty_network_carries_no_flow():
+    network = FlowNetwork(2, 0, 1, (), (), (), ())
+    assert network.arcs == ()
+    assert solve_profitable_flow(network) == FlowResult((), 0, 0, 0)
+
+
+def test_arcs_are_the_columns_read_position_by_position():
+    # Columns given as lists are held as tuples; the view is rebuilt on
+    # each read and equals the columns zipped into Arcs.
+    network = FlowNetwork(4, 0, 3, [0, 1, 1, 2], [1, 2, 3, 3], [2, 1, 1, 1], [0, -2, -1, 0])
+    columns = (network.tails, network.heads, network.capacities, network.costs)
+    assert all(type(column) is tuple for column in columns)
+    assert network.arcs == tuple(map(Arc, *columns))
+    assert network.arcs[1] == Arc(1, 2, 1, -2) and network.arcs[1].cost == -2
+    assert arc_network(4, 0, 3, network.arcs) == network
 
 
 def random_layered_network(rng: random.Random) -> FlowNetwork:
@@ -94,7 +122,7 @@ def random_layered_network(rng: random.Random) -> FlowNetwork:
         if tail == head or head == 0 or tail == nodes - 1:
             continue
         arcs.append(Arc(tail, head, rng.randint(0, 2), rng.randint(-4, 2)))
-    return FlowNetwork(nodes, 0, nodes - 1, tuple(arcs))
+    return arc_network(nodes, 0, nodes - 1, tuple(arcs))
 
 
 def check_result_invariants(network: FlowNetwork, result):
@@ -121,7 +149,7 @@ def test_optimal_against_enumeration_on_random_networks():
 
 def test_big_integer_costs_are_exact():
     huge = 10**40
-    network = FlowNetwork(3, 0, 2, (Arc(0, 1, 1, 0), Arc(1, 2, 1, -huge - 7)))
+    network = arc_network(3, 0, 2, (Arc(0, 1, 1, 0), Arc(1, 2, 1, -huge - 7)))
     result = solve_profitable_flow(network)
     assert result.total_cost == -huge - 7
 
@@ -140,7 +168,7 @@ def random_network_without_negative_cycles(rng: random.Random) -> FlowNetwork:
             continue
         reduced = rng.randint(0, 4)
         arcs.append(Arc(tail, head, rng.randint(0, 3), reduced + potential[tail] - potential[head]))
-    return FlowNetwork(nodes, 0, nodes - 1, tuple(arcs))
+    return arc_network(nodes, 0, nodes - 1, tuple(arcs))
 
 
 def networkx_graph(nx, network: FlowNetwork):
@@ -208,7 +236,7 @@ def test_tie_free_network_takes_one_search_per_unit():
     # Every unit has its own path cost (-6, -5, ..., -1): no level holds a
     # second path, so each search pushes one unit and the last finds none.
     arcs = [Arc(0, 1, 6, 0)] + [Arc(1, 2, 1, -k) for k in range(1, 7)]
-    result = solve_profitable_flow(FlowNetwork(3, 0, 2, tuple(arcs)))
+    result = solve_profitable_flow(arc_network(3, 0, 2, tuple(arcs)))
     assert result.total_flow == 6 and result.total_cost == -21
     assert result.rounds == result.total_flow + 1
 
@@ -234,7 +262,7 @@ def test_max_flow_min_cost_agrees_with_networkx_on_random_networks():
         # A bonus on every unit leaving the source that outweighs any cost
         # difference makes the cheapest flow a maximum one.
         bonus = 1 + sum(abs(a.cost) * a.capacity for a in network.arcs)
-        boosted = FlowNetwork(
+        boosted = arc_network(
             network.num_nodes,
             network.source,
             network.sink,
@@ -268,17 +296,7 @@ def pinned_networks():
         rng.shuffle(order)
         for tie_break in (None, TieBreakOrder(tuple(order))):
             yield build_model1_network(instance, tie_break)[0]
-    # The benchmark's probe instance (PROBE_CONFIG in perfbench/workloads.py).
-    probe = generate(
-        GeneratorConfig(
-            num_agents=100,
-            num_days=4,
-            num_hospitals=4,
-            availability_density=0.5,
-            supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
-            seed=7,
-        )
-    )
+    probe = generate(PROBE_CONFIG)
     for tie_break in (None, TieBreakOrder(tuple(probe.agent_order()))):
         yield build_model1_network(probe, tie_break)[0]
 

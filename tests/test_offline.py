@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rationd.flow import solve_profitable_flow
-from rationd.data import GeneratorConfig, SupplyModel, generate
+from rationd.data import GeneratorConfig, fixture_names, generate, load_fixture
 from rationd.model import (
     Agent,
     Category,
@@ -26,8 +27,9 @@ from rationd.offline import (
 )
 from rationd.analysis import wasted_slots
 
-from helpers import random_instance, tight_general, tight_model1, without_overall_quotas
+from helpers import PROBE_CONFIG, random_instance, tight_general, tight_model1, without_overall_quotas
 from oracles import allocation_value, best_utility, flat_offline_allocation, iter_allocations
+from test_acceptance import SCALED_CONFIG
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
@@ -122,6 +124,35 @@ class TestNetworkShape:
                     assert categories == agents[agent_id].eligible & {
                         c for c in quotas if quotas[c][hub.day - 1] > 0
                     }
+
+
+# sha256 of (num_nodes, source, sink, arcs, hubs) of each network that
+# pinned_networks() builds, in order. A change to the node numbering, the
+# arc order, an arc's capacity or cost, or which agents a hub holds changes
+# it; re-pin only for a change meant to do that. SOLVER_DIGEST in
+# test_flow.py pins what the solver makes of such networks.
+NETWORK_DIGEST = "43e41e26d115043e7ef2cae5a14162f451187b6adc682ba3705d4e0514a1afe1"
+
+
+def pinned_networks():
+    """Both fixtures, the probe instance at generator seeds 7 and 8 and the
+    acceptance config, each plain and with the reversed agent order as a
+    tie-break."""
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances += [generate(replace(PROBE_CONFIG, seed=seed)) for seed in (7, 8)]
+    instances.append(generate(SCALED_CONFIG))
+    for inst in instances:
+        for tie_break in (None, TieBreakOrder(tuple(reversed(inst.agent_order())))):
+            yield build_model1_network(inst, tie_break)
+
+
+def test_networks_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for network, rmap in pinned_networks():
+        arcs = tuple(map(tuple, network.arcs))
+        hubs = tuple((hub.day, hub.feeds, hub.members) for hub in rmap.hubs)
+        digest.update(repr((network.num_nodes, network.source, network.sink, arcs, hubs)).encode())
+    assert digest.hexdigest() == NETWORK_DIGEST
 
 
 class TestOfflineSolver:
@@ -230,15 +261,7 @@ class TestAgainstFlatReduction:
     def test_same_optimum_on_the_probe_instance_as_its_pin(self, seed):
         # The benchmark's probe instance (perfbench/workloads.py, PROBE_CONFIG)
         # and its held-out seed; pins.json holds their networkx optima.
-        config = GeneratorConfig(
-            num_agents=100,
-            num_days=4,
-            num_hospitals=4,
-            availability_density=0.5,
-            supply_model=SupplyModel(supply_low=4, supply_high=7, quota_low=0, quota_high=2),
-            seed=seed,
-        )
-        inst = generate(config)
+        inst = generate(replace(PROBE_CONFIG, seed=seed))
         pin = Fraction(json.loads(PINS.read_text())["probe"][str(seed)])
         assert total_utility(inst, solve_offline_model1(inst)) == pin
         assert total_utility(inst, flat_offline_allocation(inst)) == pin

@@ -4,7 +4,7 @@ refactor that drops or renames one should fail here, not in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from rationd import analysis, online
+from rationd import analysis, offline, online
 
 from helpers import tight_model1
 
@@ -50,6 +50,22 @@ def test_deviation_replays_go_through_the_traced_matcher():
     assert [(o.reported_days, o.matched_day) for o in report.outcomes] == [((), None)]
     assert summary["online.match.calls"] == inst.num_days + 1
     assert summary.get("analysis.deviation.reruns", 0) == 0
+
+
+def test_tracer_counts_the_offline_build_and_solve():
+    spans = load_spans()
+    inst = tight_model1()
+    network, _rmap = offline.build_model1_network(inst)
+    tracer = spans.install()
+    try:
+        offline.solve_offline_model1(inst)
+        summary = tracer.summary(1)
+    finally:
+        tracer.remove()
+    assert summary["offline.build_network.calls"] == 1
+    assert summary["flow.solve.calls"] == 1
+    assert summary["flow.arcs"] == summary["offline.build_network.arcs"] == len(network.arcs)
+    assert summary["flow.nodes"] == network.num_nodes
 
 
 def test_analysis_exposes_the_names_the_tracer_wraps():
